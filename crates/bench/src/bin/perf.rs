@@ -6,12 +6,11 @@
 //!
 //! Runs the fixed seeded workloads (`gemm`, `vgg16`, `bert`) through
 //! the allocating baseline and the scratch evaluation paths, the
-//! cold/warm memo searches, the metrics-on vs metrics-off
-//! instrumentation comparison, and the analytics-on vs analytics-off
-//! full-search comparison, writes the JSON report, re-validates
-//! it, and exits non-zero if either timed comparison ever diverged
-//! bit-wise or the file is malformed. Recorded numbers come from
-//! `--mode full` on a release build; CI runs `--mode smoke`.
+//! cold/warm memo searches, and the paired on/off comparisons (metrics,
+//! tracing, disarmed failpoints, search analytics), writes the JSON
+//! report, re-validates it, and exits non-zero if any timed comparison
+//! diverged bit-wise or the file is malformed. Recorded numbers come
+//! from `--mode full` on a release build; CI runs `--mode smoke`.
 
 use digamma_bench::perfjson::{render_json, run, validate_json, PerfConfig};
 use digamma_bench::Args;
@@ -42,39 +41,19 @@ fn main() -> ExitCode {
             m.workload, m.cold_wall_ms, m.warm_wall_ms, m.warm_speedup, m.warm_genome_hit_rate
         );
     }
-    for p in &report.instrumentation {
-        println!(
-            "instr {:<8} {:>6} evals | metrics off {:>11.0} evals/s | on {:>11.0} evals/s | overhead {:>6.2}% | bit-identical: {}",
-            p.workload,
-            p.evals,
-            p.metrics_off_evals_per_sec,
-            p.metrics_on_evals_per_sec,
-            p.overhead_pct,
-            p.bit_identical
-        );
-    }
-
-    for f in &report.fault_injection {
-        println!(
-            "fault {:<8} {:>6} evals | faults off {:>11.0} evals/s | disarmed {:>11.0} evals/s | overhead {:>6.2}% | bit-identical: {}",
-            f.workload,
-            f.evals,
-            f.faults_off_evals_per_sec,
-            f.faults_on_evals_per_sec,
-            f.overhead_pct,
-            f.bit_identical
-        );
-    }
-    for a in &report.analytics {
-        println!(
-            "ga    {:<8} {:>6} evals | analytics off {:>9.0} evals/s | on {:>9.0} evals/s | overhead {:>6.2}% | bit-identical: {}",
-            a.workload,
-            a.evals,
-            a.analytics_off_evals_per_sec,
-            a.analytics_on_evals_per_sec,
-            a.overhead_pct,
-            a.bit_identical
-        );
+    for section in &report.paired {
+        for p in &section.rows {
+            println!(
+                "{:<15} {:<8} {:>6} evals | off {:>11.0} evals/s | on {:>11.0} evals/s | overhead {:>6.2}% | bit-identical: {}",
+                section.name,
+                p.workload,
+                p.evals,
+                p.off_evals_per_sec,
+                p.on_evals_per_sec,
+                p.overhead_pct,
+                p.bit_identical
+            );
+        }
     }
 
     let json = render_json(&report);
@@ -97,17 +76,11 @@ fn main() -> ExitCode {
         eprintln!("perf: scratch path diverged from the allocating baseline — numbers are void");
         return ExitCode::FAILURE;
     }
-    if report.instrumentation.iter().any(|p| !p.bit_identical) {
-        eprintln!("perf: attaching metrics changed evaluation results — numbers are void");
-        return ExitCode::FAILURE;
-    }
-    if report.fault_injection.iter().any(|f| !f.bit_identical) {
-        eprintln!("perf: a disarmed failpoint set changed evaluation results — numbers are void");
-        return ExitCode::FAILURE;
-    }
-    if report.analytics.iter().any(|a| !a.bit_identical) {
-        eprintln!("perf: enabling search analytics changed the search itself — numbers are void");
-        return ExitCode::FAILURE;
+    for section in &report.paired {
+        if section.rows.iter().any(|p| !p.bit_identical) {
+            eprintln!("perf: enabling {} changed the results — numbers are void", section.feature);
+            return ExitCode::FAILURE;
+        }
     }
     println!("perf: wrote {out}");
     ExitCode::SUCCESS

@@ -8,7 +8,7 @@
 //! future perf PRs are judged against it.
 //!
 //! Three fixed seeded workloads (`gemm`, `vgg16`, `bert`) are measured
-//! three ways:
+//! six ways:
 //!
 //! * **eval** — raw `(layer, mapping) → CostReport` throughput, the
 //!   allocating pre-change path (`Evaluator::evaluate_baseline`) vs the
@@ -20,12 +20,12 @@
 //!   batch-dedupe counters and the warm-over-cold wall-clock ratio.
 //! * **instrumentation** — `CoOptProblem::evaluate_batch` throughput
 //!   with the metrics registry detached vs attached
-//!   ([`digamma::EvalMetrics`]), guarding the observability layer's
+//!   ([`EvalHooks::metrics`]), guarding the observability layer's
 //!   promise that the eval hot path stays allocation-free and within a
 //!   few percent of the uninstrumented speed, again behind a
 //!   bit-identity checksum gate.
 //! * **tracing** — the same paired measurement for the span tracer
-//!   ([`digamma::EvalTrace`]): evaluation throughput with no tracer vs
+//!   ([`EvalHooks::trace`]): evaluation throughput with no tracer vs
 //!   with sampled eval spans recording into a live [`Tracer`], guarding
 //!   the tracing layer's promise that sampled spans stay within a few
 //!   percent and change no results.
@@ -43,15 +43,21 @@
 //!   pure bookkeeping over already-evaluated data — zero extra RNG
 //!   draws, bit-identical incumbents and history, ≤1% search wall time.
 //!
+//! The last four are one measurement, `paired_ratio`, with different
+//! "off" and "on" closures.
+//!
 //! `--mode smoke` shrinks the budgets so CI can assert the file is
 //! produced and well-formed in seconds; recorded numbers come from
 //! `--mode full` on a release build (see the README's Performance
 //! section).
 
-use digamma::{CoOptProblem, DiGamma, DiGammaConfig, EvalMetrics, EvalTrace, Objective};
+use digamma::{
+    CoOptProblem, DesignEvaluation, DiGamma, DiGammaConfig, EvalHooks, EvalMetrics, EvalTrace,
+    Objective, SearchResult,
+};
 use digamma_costmodel::{EvalScratch, Evaluator, Mapping, Platform};
 use digamma_encoding::Genome;
-use digamma_obs::{FailSet, MetricsRegistry, SpanContext, Tracer};
+use digamma_obs::{parse_json, FailSet, MetricsRegistry, SpanContext, Tracer};
 use digamma_server::{JobAlgorithm, JobReport, JobSpec, SearchServer, ServerConfig};
 use digamma_workload::{zoo, Layer, Model, UniqueLayer};
 use rand::rngs::SmallRng;
@@ -149,100 +155,42 @@ pub struct MemoPerf {
     pub dedup_skipped: u64,
 }
 
-/// Instrumentation overhead for one workload: the same seeded
-/// `evaluate_batch` calls with the metrics registry detached vs
-/// attached. The observability layer's contract is that this stays
-/// within a few percent (see the README's Observability section).
+/// One workload's row of a paired on/off overhead section: the same
+/// seeded work timed with a feature off and on.
 #[derive(Debug, Clone)]
-pub struct InstrPerf {
+pub struct PairedPerf {
     /// Workload name.
     pub workload: String,
-    /// Per-layer evaluations per timed batch (before dedupe).
+    /// Per-layer evaluations per timed batch (before dedupe), or
+    /// design-point evaluations per search for the analytics section.
     pub evals: usize,
-    /// Throughput with no metrics attached.
-    pub metrics_off_evals_per_sec: f64,
-    /// Throughput with tenant-labelled [`EvalMetrics`] attached to an
-    /// enabled registry.
-    pub metrics_on_evals_per_sec: f64,
+    /// Completed generations per search (analytics section only).
+    pub generations: Option<u64>,
+    /// Throughput with the feature off.
+    pub off_evals_per_sec: f64,
+    /// Throughput with the feature on.
+    pub on_evals_per_sec: f64,
     /// `(off - on) / off`, as a percentage — positive means the
-    /// instrumented path is slower.
+    /// feature-on path is slower.
     pub overhead_pct: f64,
-    /// Whether both paths produced bit-identical evaluation checksums.
+    /// Whether both paths produced bit-identical results (a `false`
+    /// here invalidates the row).
     pub bit_identical: bool,
 }
 
-/// Tracing overhead for one workload: the same seeded
-/// `evaluate_batch` calls with no tracer vs with an [`EvalTrace`]
-/// recording sampled spans into a live [`Tracer`]. The tracing layer's
-/// contract mirrors the metrics one: a few percent at most, results
-/// bit-identical.
+/// A paired on/off overhead section of the report.
 #[derive(Debug, Clone)]
-pub struct TracePerf {
-    /// Workload name.
-    pub workload: String,
-    /// Per-layer evaluations per timed batch (before dedupe).
-    pub evals: usize,
-    /// Throughput with no tracer attached.
-    pub trace_off_evals_per_sec: f64,
-    /// Throughput with sampled eval spans recording.
-    pub trace_on_evals_per_sec: f64,
-    /// `(off - on) / off`, as a percentage — positive means the traced
-    /// path is slower.
-    pub overhead_pct: f64,
-    /// Whether both paths produced bit-identical evaluation checksums.
-    pub bit_identical: bool,
-}
-
-/// Failpoint overhead for one workload: the same seeded
-/// `evaluate_batch` calls with no [`FailSet`] attached vs with an
-/// attached-but-disarmed set (the production shape of a binary built
-/// with chaos support but no `--failpoints` flag). The contract is the
-/// strictest of the observability trio: a disarmed hit is one relaxed
-/// atomic load, so the overhead must stay ≈1%.
-#[derive(Debug, Clone)]
-pub struct FaultPerf {
-    /// Workload name.
-    pub workload: String,
-    /// Per-layer evaluations per timed batch (before dedupe).
-    pub evals: usize,
-    /// Throughput with no failpoint set attached.
-    pub faults_off_evals_per_sec: f64,
-    /// Throughput with a disarmed [`FailSet`] attached.
-    pub faults_on_evals_per_sec: f64,
-    /// `(off - on) / off`, as a percentage — positive means the
-    /// fault-capable path is slower.
-    pub overhead_pct: f64,
-    /// Whether both paths produced bit-identical evaluation checksums.
-    pub bit_identical: bool,
-}
-
-/// Search-analytics overhead for one workload: the same seeded
-/// [`DiGamma::search`] with [`DiGammaConfig::analytics`] off vs on.
-/// Unlike the `evaluate_batch` trios above, this measurement covers the
-/// whole search loop — selection, operators, evaluation, and the
-/// per-generation [`GenStats`](digamma_obs::GenStats)/attribution
-/// bookkeeping under test. The contract is the strongest in the file:
-/// the analytics path draws no RNG, so the searches must be
-/// *bit-identical* (same incumbent, same best-so-far history), not just
-/// statistically equivalent.
-#[derive(Debug, Clone)]
-pub struct AnalyticsPerf {
-    /// Workload name.
-    pub workload: String,
-    /// Design-point evaluations per search (the sampling budget).
-    pub evals: usize,
-    /// Completed generations per search.
-    pub generations: u64,
-    /// Search throughput with analytics disabled, evaluations/second.
-    pub analytics_off_evals_per_sec: f64,
-    /// Search throughput with analytics enabled.
-    pub analytics_on_evals_per_sec: f64,
-    /// `(off - on) / off`, as a percentage — positive means the
-    /// analytics-enabled search is slower.
-    pub overhead_pct: f64,
-    /// Whether both searches produced bit-identical best-so-far
-    /// histories and incumbent costs.
-    pub bit_identical: bool,
+pub struct PairedSection {
+    /// JSON section key (`instrumentation`, `tracing`, ...).
+    pub name: &'static str,
+    /// Prefix of the throughput keys: `metrics` renders as
+    /// `metrics_off_evals_per_sec` / `metrics_on_evals_per_sec`.
+    pub prefix: &'static str,
+    /// What the "on" side turns on, for console rows and divergence
+    /// messages.
+    pub feature: &'static str,
+    /// One row per workload.
+    pub rows: Vec<PairedPerf>,
 }
 
 /// The full harness output.
@@ -254,14 +202,10 @@ pub struct PerfReport {
     pub eval: Vec<EvalPerf>,
     /// Memo effectiveness per workload.
     pub memo: Vec<MemoPerf>,
-    /// Metrics-on vs metrics-off evaluation throughput per workload.
-    pub instrumentation: Vec<InstrPerf>,
-    /// Tracing-on vs tracing-off evaluation throughput per workload.
-    pub tracing: Vec<TracePerf>,
-    /// Disarmed-failpoints vs no-failpoints throughput per workload.
-    pub fault_injection: Vec<FaultPerf>,
-    /// Analytics-on vs analytics-off search throughput per workload.
-    pub analytics: Vec<AnalyticsPerf>,
+    /// The paired on/off sections, in JSON order: metrics, tracing,
+    /// disarmed failpoints (all on `evaluate_batch`), then search
+    /// analytics (on whole searches).
+    pub paired: Vec<PairedSection>,
 }
 
 /// The three fixed workloads the harness sweeps.
@@ -386,24 +330,80 @@ fn measure_memo(model: &Model, config: &PerfConfig) -> MemoPerf {
     }
 }
 
-fn measure_instrumentation(model: &Model, config: &PerfConfig) -> InstrPerf {
+/// Times `off` and `on` against each other and returns the fastest
+/// `off` call in nanoseconds and the median `on / off` time ratio.
+///
+/// The expected deltas are ~1%, far below machine drift, so the
+/// comparison is made *pairwise*: each iteration times an off/on/on/off
+/// quartet (ABBA), each pass `calls` calls long so scheduler hiccups
+/// amortize, and contributes one ratio. Any drift that is linear in
+/// time (turbo decay, a neighbour ramping up) lands equally on both
+/// sides of a quartet and cancels, and the median keeps outlier
+/// quartets from deciding the result the way they decide independent
+/// minima.
+fn paired_ratio(
+    quartets: usize,
+    calls: usize,
+    mut off: impl FnMut(),
+    mut on: impl FnMut(),
+) -> (f64, f64) {
+    let pass = |f: &mut dyn FnMut()| {
+        let start = Instant::now();
+        for _ in 0..calls {
+            f();
+        }
+        start.elapsed().as_nanos() as f64 / calls as f64
+    };
+    let mut off_ns = f64::INFINITY;
+    let mut ratios = Vec::with_capacity(quartets);
+    for _ in 0..quartets.max(1) {
+        let off_a = pass(&mut off);
+        let on_a = pass(&mut on);
+        let on_b = pass(&mut on);
+        let off_b = pass(&mut off);
+        off_ns = off_ns.min(off_a.min(off_b));
+        ratios.push((on_a + on_b) / (off_a + off_b));
+    }
+    ratios.sort_by(f64::total_cmp);
+    (off_ns, ratios[ratios.len() / 2])
+}
+
+/// One row from a [`paired_ratio`] result over `evals` evaluations per call.
+fn paired_row(
+    model: &Model,
+    evals: usize,
+    generations: Option<u64>,
+    (off_ns, ratio): (f64, f64),
+    bit_identical: bool,
+) -> PairedPerf {
+    let off_evals_per_sec = evals as f64 / (off_ns / 1e9);
+    PairedPerf {
+        workload: model.name().to_owned(),
+        evals,
+        generations,
+        off_evals_per_sec,
+        on_evals_per_sec: off_evals_per_sec / ratio,
+        overhead_pct: (ratio - 1.0) * 100.0,
+        bit_identical,
+    }
+}
+
+/// `evaluate_batch` throughput with no hooks vs with `hooks` attached.
+/// Neither problem has a cache or memo: the measurement isolates the
+/// hooks themselves, not the memo layers they count.
+fn measure_hooks(model: &Model, config: &PerfConfig, hooks: EvalHooks) -> PairedPerf {
     let platform = Platform::edge();
     let unique = model.unique_layers();
     let mut rng = SmallRng::seed_from_u64(config.seed);
     let count = config.evals_per_workload.div_ceil(unique.len()).max(1);
     let genomes: Vec<Genome> =
         (0..count).map(|_| Genome::random(&mut rng, &unique, &platform, 2)).collect();
-
-    // No caches and no memo on either problem: the measurement isolates
-    // the metric hooks themselves, not the memo layers they count.
-    let off = CoOptProblem::new(model.clone(), platform.clone(), Objective::Latency);
-    let registry = MetricsRegistry::new();
-    let on = CoOptProblem::new(model.clone(), platform, Objective::Latency)
-        .with_eval_metrics(Arc::new(EvalMetrics::for_tenant(&registry, "bench")));
+    let off = CoOptProblem::new(model.clone(), platform, Objective::Latency);
+    let on = off.clone().with_eval_hooks(hooks);
 
     // Bit-identity gate first: an overhead number measured on diverging
     // evaluations would be meaningless.
-    let checksum = |evaluations: &[digamma::DesignEvaluation]| {
+    let checksum = |evaluations: &[DesignEvaluation]| {
         evaluations.iter().fold(0u64, |acc, e| {
             acc.wrapping_mul(31)
                 .wrapping_add(e.cost.to_bits())
@@ -411,198 +411,26 @@ fn measure_instrumentation(model: &Model, config: &PerfConfig) -> InstrPerf {
                 .wrapping_add(e.energy_pj.to_bits())
         })
     };
-    let off_sum = checksum(&off.evaluate_batch(&genomes, 1));
-    let on_sum = checksum(&on.evaluate_batch(&genomes, 1));
-
-    // The expected delta is ~1%, far below run-to-run machine drift,
-    // so the comparison is made *pairwise*: each iteration times an
-    // off pass and an on pass back-to-back (several batches each, so
-    // scheduler hiccups amortize) and contributes one on/off ratio.
-    // The pair order alternates every iteration — a machine that slows
-    // down across a pair would otherwise systematically tax whichever
-    // path runs second — and the overhead is the median of the ratios:
-    // a slow spell lands on both halves of a pair and cancels, and
-    // outlier pairs cannot decide the result the way they decide
-    // independent minima.
-    const BATCHES_PER_PASS: usize = 2;
-    let mut off_ns = f64::INFINITY;
-    let mut ratios = Vec::new();
-    for i in 0..(config.repeats * 16).max(2) {
-        let pass = |problem: &CoOptProblem| {
-            let start = Instant::now();
-            for _ in 0..BATCHES_PER_PASS {
-                std::hint::black_box(problem.evaluate_batch(&genomes, 1));
-            }
-            start.elapsed().as_nanos() as f64 / BATCHES_PER_PASS as f64
-        };
-        let (off_pass, on_pass) = if i % 2 == 0 {
-            let off_pass = pass(&off);
-            (off_pass, pass(&on))
-        } else {
-            let on_pass = pass(&on);
-            (pass(&off), on_pass)
-        };
-        off_ns = off_ns.min(off_pass);
-        ratios.push(on_pass / off_pass);
-    }
-    ratios.sort_by(f64::total_cmp);
-    let ratio = ratios[ratios.len() / 2];
-
-    let evals = genomes.len() * unique.len();
-    let metrics_off_evals_per_sec = evals as f64 / (off_ns / 1e9);
-    InstrPerf {
-        workload: model.name().to_owned(),
-        evals,
-        metrics_off_evals_per_sec,
-        metrics_on_evals_per_sec: metrics_off_evals_per_sec / ratio,
-        overhead_pct: (ratio - 1.0) * 100.0,
-        bit_identical: off_sum == on_sum,
-    }
+    let bit_identical =
+        checksum(&off.evaluate_batch(&genomes, 1)) == checksum(&on.evaluate_batch(&genomes, 1));
+    let timing = paired_ratio(
+        config.repeats * 16,
+        2,
+        || {
+            std::hint::black_box(off.evaluate_batch(&genomes, 1));
+        },
+        || {
+            std::hint::black_box(on.evaluate_batch(&genomes, 1));
+        },
+    );
+    paired_row(model, genomes.len() * unique.len(), None, timing, bit_identical)
 }
 
-/// The tracing twin of [`measure_instrumentation`]: identical pairing
-/// and median-of-ratios scheme, but the "on" problem records sampled
-/// eval spans into a live tracer instead of bumping metrics.
-fn measure_tracing(model: &Model, config: &PerfConfig) -> TracePerf {
-    let platform = Platform::edge();
-    let unique = model.unique_layers();
-    let mut rng = SmallRng::seed_from_u64(config.seed);
-    let count = config.evals_per_workload.div_ceil(unique.len()).max(1);
-    let genomes: Vec<Genome> =
-        (0..count).map(|_| Genome::random(&mut rng, &unique, &platform, 2)).collect();
-
-    let off = CoOptProblem::new(model.clone(), platform.clone(), Objective::Latency);
-    let tracer = Tracer::new();
-    let on = CoOptProblem::new(model.clone(), platform, Objective::Latency)
-        .with_eval_trace(Arc::new(EvalTrace::new(tracer, SpanContext::generate(), 1)));
-
-    let checksum = |evaluations: &[digamma::DesignEvaluation]| {
-        evaluations.iter().fold(0u64, |acc, e| {
-            acc.wrapping_mul(31)
-                .wrapping_add(e.cost.to_bits())
-                .wrapping_add(e.latency_cycles.to_bits())
-                .wrapping_add(e.energy_pj.to_bits())
-        })
-    };
-    let off_sum = checksum(&off.evaluate_batch(&genomes, 1));
-    let on_sum = checksum(&on.evaluate_batch(&genomes, 1));
-
-    // Same pairing rationale as measure_instrumentation: the expected
-    // delta is small, so each iteration times both paths back-to-back
-    // (order alternating) and the overhead is the median of the
-    // per-pair ratios.
-    const BATCHES_PER_PASS: usize = 2;
-    let mut off_ns = f64::INFINITY;
-    let mut ratios = Vec::new();
-    for i in 0..(config.repeats * 16).max(2) {
-        let pass = |problem: &CoOptProblem| {
-            let start = Instant::now();
-            for _ in 0..BATCHES_PER_PASS {
-                std::hint::black_box(problem.evaluate_batch(&genomes, 1));
-            }
-            start.elapsed().as_nanos() as f64 / BATCHES_PER_PASS as f64
-        };
-        let (off_pass, on_pass) = if i % 2 == 0 {
-            let off_pass = pass(&off);
-            (off_pass, pass(&on))
-        } else {
-            let on_pass = pass(&on);
-            (pass(&off), on_pass)
-        };
-        off_ns = off_ns.min(off_pass);
-        ratios.push(on_pass / off_pass);
-    }
-    ratios.sort_by(f64::total_cmp);
-    let ratio = ratios[ratios.len() / 2];
-
-    let evals = genomes.len() * unique.len();
-    let trace_off_evals_per_sec = evals as f64 / (off_ns / 1e9);
-    TracePerf {
-        workload: model.name().to_owned(),
-        evals,
-        trace_off_evals_per_sec,
-        trace_on_evals_per_sec: trace_off_evals_per_sec / ratio,
-        overhead_pct: (ratio - 1.0) * 100.0,
-        bit_identical: off_sum == on_sum,
-    }
-}
-
-/// The failpoint twin of [`measure_instrumentation`]: identical pairing
-/// and median-of-ratios scheme, but the "on" problem carries a disarmed
-/// [`FailSet`] — the shape every production search has once the binary
-/// supports `--failpoints` at all.
-fn measure_faults(model: &Model, config: &PerfConfig) -> FaultPerf {
-    let platform = Platform::edge();
-    let unique = model.unique_layers();
-    let mut rng = SmallRng::seed_from_u64(config.seed);
-    let count = config.evals_per_workload.div_ceil(unique.len()).max(1);
-    let genomes: Vec<Genome> =
-        (0..count).map(|_| Genome::random(&mut rng, &unique, &platform, 2)).collect();
-
-    let off = CoOptProblem::new(model.clone(), platform.clone(), Objective::Latency);
-    // Attached and *disarmed*: the set exists, no `worker.eval` action is
-    // configured, so every batch pays exactly the advertised relaxed
-    // atomic load and nothing fires.
-    let on = CoOptProblem::new(model.clone(), platform, Objective::Latency)
-        .with_eval_faults(Arc::new(FailSet::new()));
-
-    let checksum = |evaluations: &[digamma::DesignEvaluation]| {
-        evaluations.iter().fold(0u64, |acc, e| {
-            acc.wrapping_mul(31)
-                .wrapping_add(e.cost.to_bits())
-                .wrapping_add(e.latency_cycles.to_bits())
-                .wrapping_add(e.energy_pj.to_bits())
-        })
-    };
-    let off_sum = checksum(&off.evaluate_batch(&genomes, 1));
-    let on_sum = checksum(&on.evaluate_batch(&genomes, 1));
-
-    // Same pairing rationale as measure_instrumentation: the expected
-    // delta is far below machine drift, so each iteration times both
-    // paths back-to-back (order alternating) and the overhead is the
-    // median of the per-pair ratios.
-    const BATCHES_PER_PASS: usize = 2;
-    let mut off_ns = f64::INFINITY;
-    let mut ratios = Vec::new();
-    for i in 0..(config.repeats * 16).max(2) {
-        let pass = |problem: &CoOptProblem| {
-            let start = Instant::now();
-            for _ in 0..BATCHES_PER_PASS {
-                std::hint::black_box(problem.evaluate_batch(&genomes, 1));
-            }
-            start.elapsed().as_nanos() as f64 / BATCHES_PER_PASS as f64
-        };
-        let (off_pass, on_pass) = if i % 2 == 0 {
-            let off_pass = pass(&off);
-            (off_pass, pass(&on))
-        } else {
-            let on_pass = pass(&on);
-            (pass(&off), on_pass)
-        };
-        off_ns = off_ns.min(off_pass);
-        ratios.push(on_pass / off_pass);
-    }
-    ratios.sort_by(f64::total_cmp);
-    let ratio = ratios[ratios.len() / 2];
-
-    let evals = genomes.len() * unique.len();
-    let faults_off_evals_per_sec = evals as f64 / (off_ns / 1e9);
-    FaultPerf {
-        workload: model.name().to_owned(),
-        evals,
-        faults_off_evals_per_sec,
-        faults_on_evals_per_sec: faults_off_evals_per_sec / ratio,
-        overhead_pct: (ratio - 1.0) * 100.0,
-        bit_identical: off_sum == on_sum,
-    }
-}
-
-/// The search-loop member of the paired family: a complete seeded
-/// [`DiGamma::search`] with analytics off vs on, same pairing and
-/// median-of-ratios scheme as [`measure_instrumentation`]. The budget
-/// reuses the memo knobs — analytics cost scales with generations, and
-/// the memo search is the harness's canonical "whole search" size.
-fn measure_analytics(model: &Model, config: &PerfConfig) -> AnalyticsPerf {
+/// A complete seeded [`DiGamma::search`] with analytics off vs on. The
+/// budget reuses the memo knobs — analytics cost scales with
+/// generations, and the memo search is the harness's canonical "whole
+/// search" size.
+fn measure_analytics(model: &Model, config: &PerfConfig) -> PairedPerf {
     let platform = Platform::edge();
     let problem = CoOptProblem::new(model.clone(), platform, Objective::Latency);
     let budget = config.memo_budget;
@@ -620,7 +448,7 @@ fn measure_analytics(model: &Model, config: &PerfConfig) -> AnalyticsPerf {
     // measurements: the whole best-so-far trajectory must match, not
     // just a batch of independent evaluations. Any divergence means the
     // analytics path consumed RNG or reordered the search.
-    let fingerprint = |result: &digamma::SearchResult| {
+    let fingerprint = |result: &SearchResult| {
         let mut acc = result.samples as u64;
         for cost in &result.history {
             acc = acc.wrapping_mul(31).wrapping_add(cost.to_bits());
@@ -637,48 +465,18 @@ fn measure_analytics(model: &Model, config: &PerfConfig) -> AnalyticsPerf {
     let generations = on_state.generation();
     let on_result = on_state.into_result();
     let bit_identical = fingerprint(&off_result) == fingerprint(&on_result);
-    let evals = off_result.samples;
 
-    // Same pairing rationale as measure_instrumentation — the expected
-    // delta is ≤1%, far below machine drift — but this section has to
-    // resolve that delta against a baseline of whole searches, not a
-    // single large `evaluate_batch`, so it works harder for its error
-    // bars: each iteration times an off/on/on/off quartet (ABBA — any
-    // linear-in-time drift such as turbo decay contributes equally to
-    // both sides and cancels exactly, where plain alternation leaves a
-    // bimodal ratio distribution whose median wobbles between modes)
-    // and the overhead is the median of the per-quartet ratios.
-    const SEARCHES_PER_PASS: usize = 4;
-    let mut off_ns = f64::INFINITY;
-    let mut ratios = Vec::new();
-    for _ in 0..(config.repeats * 24).max(1) {
-        let pass = |analytics: bool| {
-            let start = Instant::now();
-            for _ in 0..SEARCHES_PER_PASS {
-                std::hint::black_box(ga(analytics).search(&problem, budget));
-            }
-            start.elapsed().as_nanos() as f64 / SEARCHES_PER_PASS as f64
-        };
-        let off_a = pass(false);
-        let on_a = pass(true);
-        let on_b = pass(true);
-        let off_b = pass(false);
-        off_ns = off_ns.min(off_a.min(off_b));
-        ratios.push((on_a + on_b) / (off_a + off_b));
-    }
-    ratios.sort_by(f64::total_cmp);
-    let ratio = ratios[ratios.len() / 2];
-
-    let analytics_off_evals_per_sec = evals as f64 / (off_ns / 1e9);
-    AnalyticsPerf {
-        workload: model.name().to_owned(),
-        evals,
-        generations,
-        analytics_off_evals_per_sec,
-        analytics_on_evals_per_sec: analytics_off_evals_per_sec / ratio,
-        overhead_pct: (ratio - 1.0) * 100.0,
-        bit_identical,
-    }
+    let timing = paired_ratio(
+        config.repeats * 24,
+        4,
+        || {
+            std::hint::black_box(ga(false).search(&problem, budget));
+        },
+        || {
+            std::hint::black_box(ga(true).search(&problem, budget));
+        },
+    );
+    paired_row(model, off_result.samples, Some(generations), timing, bit_identical)
 }
 
 /// Runs the full harness.
@@ -686,19 +484,37 @@ pub fn run(config: &PerfConfig) -> PerfReport {
     let models = workloads();
     let eval = models.iter().map(|m| measure_eval(m, config)).collect();
     let memo = models.iter().map(|m| measure_memo(m, config)).collect();
-    let instrumentation = models.iter().map(|m| measure_instrumentation(m, config)).collect();
-    let tracing = models.iter().map(|m| measure_tracing(m, config)).collect();
-    let fault_injection = models.iter().map(|m| measure_faults(m, config)).collect();
-    let analytics = models.iter().map(|m| measure_analytics(m, config)).collect();
-    PerfReport {
-        config: config.clone(),
-        eval,
-        memo,
-        instrumentation,
-        tracing,
-        fault_injection,
-        analytics,
-    }
+    let hooks_section = |name, prefix, feature, hooks: &dyn Fn() -> EvalHooks| PairedSection {
+        name,
+        prefix,
+        feature,
+        rows: models.iter().map(|m| measure_hooks(m, config, hooks())).collect(),
+    };
+    let registry = MetricsRegistry::new();
+    let paired = vec![
+        hooks_section("instrumentation", "metrics", "metrics", &|| EvalHooks {
+            metrics: Some(EvalMetrics::for_tenant(&registry, "bench")),
+            ..EvalHooks::default()
+        }),
+        hooks_section("tracing", "trace", "tracing", &|| EvalHooks {
+            trace: Some(EvalTrace::new(Tracer::new(), SpanContext::generate(), 1)),
+            ..EvalHooks::default()
+        }),
+        // Attached and *disarmed*: the set exists, no `worker.eval`
+        // action is configured, so every call pays exactly the
+        // advertised relaxed atomic load and nothing fires.
+        hooks_section("fault_injection", "faults", "a disarmed failpoint set", &|| EvalHooks {
+            faults: Some(Arc::new(FailSet::new())),
+            ..EvalHooks::default()
+        }),
+        PairedSection {
+            name: "analytics",
+            prefix: "analytics",
+            feature: "search analytics",
+            rows: models.iter().map(|m| measure_analytics(m, config)).collect(),
+        },
+    ];
+    PerfReport { config: config.clone(), eval, memo, paired }
 }
 
 /// JSON string escaping (the only non-trivial JSON need this file has —
@@ -771,133 +587,43 @@ pub fn render_json(report: &PerfReport) -> String {
         out.push_str(if i + 1 < report.memo.len() { "},\n" } else { "}\n" });
     }
     out.push_str("  ],\n");
-    out.push_str("  \"instrumentation\": [\n");
-    for (i, p) in report.instrumentation.iter().enumerate() {
-        out.push_str("    {");
-        out.push_str(&format!("\"workload\": {}, ", json_str(&p.workload)));
-        out.push_str(&format!("\"evals\": {}, ", p.evals));
-        out.push_str(&format!(
-            "\"metrics_off_evals_per_sec\": {}, ",
-            json_num(p.metrics_off_evals_per_sec)
-        ));
-        out.push_str(&format!(
-            "\"metrics_on_evals_per_sec\": {}, ",
-            json_num(p.metrics_on_evals_per_sec)
-        ));
-        out.push_str(&format!("\"overhead_pct\": {}, ", json_num(p.overhead_pct)));
-        out.push_str(&format!("\"bit_identical\": {}", p.bit_identical));
-        out.push_str(if i + 1 < report.instrumentation.len() { "},\n" } else { "}\n" });
+    for (si, section) in report.paired.iter().enumerate() {
+        out.push_str(&format!("  {}: [\n", json_str(section.name)));
+        let prefix = section.prefix;
+        for (i, p) in section.rows.iter().enumerate() {
+            out.push_str("    {");
+            out.push_str(&format!("\"workload\": {}, ", json_str(&p.workload)));
+            out.push_str(&format!("\"evals\": {}, ", p.evals));
+            if let Some(generations) = p.generations {
+                out.push_str(&format!("\"generations\": {generations}, "));
+            }
+            out.push_str(&format!(
+                "\"{prefix}_off_evals_per_sec\": {}, ",
+                json_num(p.off_evals_per_sec)
+            ));
+            out.push_str(&format!(
+                "\"{prefix}_on_evals_per_sec\": {}, ",
+                json_num(p.on_evals_per_sec)
+            ));
+            out.push_str(&format!("\"overhead_pct\": {}, ", json_num(p.overhead_pct)));
+            out.push_str(&format!("\"bit_identical\": {}", p.bit_identical));
+            out.push_str(if i + 1 < section.rows.len() { "},\n" } else { "}\n" });
+        }
+        out.push_str(if si + 1 < report.paired.len() { "  ],\n" } else { "  ]\n" });
     }
-    out.push_str("  ],\n");
-    out.push_str("  \"tracing\": [\n");
-    for (i, t) in report.tracing.iter().enumerate() {
-        out.push_str("    {");
-        out.push_str(&format!("\"workload\": {}, ", json_str(&t.workload)));
-        out.push_str(&format!("\"evals\": {}, ", t.evals));
-        out.push_str(&format!(
-            "\"trace_off_evals_per_sec\": {}, ",
-            json_num(t.trace_off_evals_per_sec)
-        ));
-        out.push_str(&format!(
-            "\"trace_on_evals_per_sec\": {}, ",
-            json_num(t.trace_on_evals_per_sec)
-        ));
-        out.push_str(&format!("\"overhead_pct\": {}, ", json_num(t.overhead_pct)));
-        out.push_str(&format!("\"bit_identical\": {}", t.bit_identical));
-        out.push_str(if i + 1 < report.tracing.len() { "},\n" } else { "}\n" });
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"fault_injection\": [\n");
-    for (i, f) in report.fault_injection.iter().enumerate() {
-        out.push_str("    {");
-        out.push_str(&format!("\"workload\": {}, ", json_str(&f.workload)));
-        out.push_str(&format!("\"evals\": {}, ", f.evals));
-        out.push_str(&format!(
-            "\"faults_off_evals_per_sec\": {}, ",
-            json_num(f.faults_off_evals_per_sec)
-        ));
-        out.push_str(&format!(
-            "\"faults_on_evals_per_sec\": {}, ",
-            json_num(f.faults_on_evals_per_sec)
-        ));
-        out.push_str(&format!("\"overhead_pct\": {}, ", json_num(f.overhead_pct)));
-        out.push_str(&format!("\"bit_identical\": {}", f.bit_identical));
-        out.push_str(if i + 1 < report.fault_injection.len() { "},\n" } else { "}\n" });
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"analytics\": [\n");
-    for (i, a) in report.analytics.iter().enumerate() {
-        out.push_str("    {");
-        out.push_str(&format!("\"workload\": {}, ", json_str(&a.workload)));
-        out.push_str(&format!("\"evals\": {}, ", a.evals));
-        out.push_str(&format!("\"generations\": {}, ", a.generations));
-        out.push_str(&format!(
-            "\"analytics_off_evals_per_sec\": {}, ",
-            json_num(a.analytics_off_evals_per_sec)
-        ));
-        out.push_str(&format!(
-            "\"analytics_on_evals_per_sec\": {}, ",
-            json_num(a.analytics_on_evals_per_sec)
-        ));
-        out.push_str(&format!("\"overhead_pct\": {}, ", json_num(a.overhead_pct)));
-        out.push_str(&format!("\"bit_identical\": {}", a.bit_identical));
-        out.push_str(if i + 1 < report.analytics.len() { "},\n" } else { "}\n" });
-    }
-    out.push_str("  ]\n");
     out.push_str("}\n");
     out
 }
 
-/// Structural well-formedness check for the emitted JSON: balanced
-/// braces/brackets outside strings, no trailing garbage, and every
-/// required key present. CI runs this against the freshly-written
-/// `BENCH_eval.json`.
+/// Well-formedness check for the emitted JSON: it must parse as one
+/// JSON document and carry every required key. CI runs this against
+/// the freshly-written `BENCH_eval.json`.
 ///
 /// # Errors
 ///
-/// Returns a description of the first structural problem found.
+/// Returns a description of the first problem found.
 pub fn validate_json(text: &str) -> Result<(), String> {
-    let mut depth_brace = 0i64;
-    let mut depth_bracket = 0i64;
-    let mut in_string = false;
-    let mut escaped = false;
-    for (i, c) in text.char_indices() {
-        if in_string {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_string = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => in_string = true,
-            '{' => depth_brace += 1,
-            '}' => depth_brace -= 1,
-            '[' => depth_bracket += 1,
-            ']' => depth_bracket -= 1,
-            _ => {}
-        }
-        if depth_brace < 0 || depth_bracket < 0 {
-            return Err(format!("unbalanced close at byte {i}"));
-        }
-        if depth_brace == 0
-            && depth_bracket == 0
-            && !c.is_whitespace()
-            && i > 0
-            && i + 1 < text.trim_end().len()
-        {
-            return Err(format!("trailing content after the root object at byte {i}"));
-        }
-    }
-    if in_string {
-        return Err("unterminated string".to_owned());
-    }
-    if depth_brace != 0 || depth_bracket != 0 {
-        return Err("unbalanced braces/brackets".to_owned());
-    }
+    parse_json(text)?;
     for key in [
         "\"schema\"",
         "\"mode\"",
@@ -941,34 +667,22 @@ mod tests {
         let report = run(&PerfConfig::smoke());
         assert_eq!(report.eval.len(), 3);
         assert_eq!(report.memo.len(), 3);
-        assert_eq!(report.instrumentation.len(), 3);
-        assert_eq!(report.tracing.len(), 3);
-        assert_eq!(report.fault_injection.len(), 3);
-        assert_eq!(report.analytics.len(), 3);
+        let names: Vec<&str> = report.paired.iter().map(|s| s.name).collect();
+        assert_eq!(names, ["instrumentation", "tracing", "fault_injection", "analytics"]);
         for e in &report.eval {
             assert!(e.bit_identical, "{}: scratch path diverged from baseline", e.workload);
             assert!(e.evals > 0);
             assert!(e.baseline_ns_per_eval > 0.0 && e.scratch_ns_per_eval > 0.0);
         }
-        for p in &report.instrumentation {
-            assert!(p.bit_identical, "{}: metrics changed evaluation results", p.workload);
-            assert!(p.evals > 0);
-            assert!(p.metrics_off_evals_per_sec > 0.0 && p.metrics_on_evals_per_sec > 0.0);
-        }
-        for t in &report.tracing {
-            assert!(t.bit_identical, "{}: tracing changed evaluation results", t.workload);
-            assert!(t.evals > 0);
-            assert!(t.trace_off_evals_per_sec > 0.0 && t.trace_on_evals_per_sec > 0.0);
-        }
-        for f in &report.fault_injection {
-            assert!(f.bit_identical, "{}: a disarmed FailSet changed results", f.workload);
-            assert!(f.evals > 0);
-            assert!(f.faults_off_evals_per_sec > 0.0 && f.faults_on_evals_per_sec > 0.0);
-        }
-        for a in &report.analytics {
-            assert!(a.bit_identical, "{}: analytics changed the search", a.workload);
-            assert!(a.evals > 0 && a.generations > 0);
-            assert!(a.analytics_off_evals_per_sec > 0.0 && a.analytics_on_evals_per_sec > 0.0);
+        for section in &report.paired {
+            assert_eq!(section.rows.len(), 3, "{}", section.name);
+            for p in &section.rows {
+                assert!(p.bit_identical, "{}: {} changed results", p.workload, section.feature);
+                assert!(p.evals > 0);
+                assert!(p.off_evals_per_sec > 0.0 && p.on_evals_per_sec > 0.0);
+                assert_eq!(p.generations.is_some(), section.name == "analytics");
+                assert!(p.generations != Some(0), "{}: no generations ran", p.workload);
+            }
         }
         for m in &report.memo {
             assert!(
@@ -993,7 +707,7 @@ mod tests {
             let a = measure_analytics(&model, &PerfConfig::full());
             println!(
                 "{:<8} overhead {:>6.2}% | off {:>9.0} evals/s | bit-identical: {}",
-                a.workload, a.overhead_pct, a.analytics_off_evals_per_sec, a.bit_identical
+                a.workload, a.overhead_pct, a.off_evals_per_sec, a.bit_identical
             );
         }
     }

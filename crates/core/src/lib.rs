@@ -64,7 +64,8 @@ pub use hwopt::{hw_grid_search, GridSearchResult};
 pub use objective::Objective;
 pub use parallel::{default_threads, parallel_map, scoped_workers};
 pub use problem::{
-    CoOptProblem, Constraint, DesignEvaluation, EvalCache, EvalMetrics, EvalTrace, GenomeMemo,
+    CoOptProblem, Constraint, DesignEvaluation, EvalCache, EvalHooks, EvalMetrics, EvalTrace,
+    GenomeMemo,
 };
 pub use result::{DesignPoint, SearchResult};
 pub use templates::MappingStyle;

@@ -27,11 +27,11 @@ const EVAL_LATENCY_SAMPLE_EVERY: u64 = 64;
 /// (labelled by tenant) and shared by every clone of the problem.
 ///
 /// All handles are pre-resolved atomics, so the instrumented path adds
-/// a handful of relaxed atomic ops per *batch* plus one relaxed
+/// a handful of relaxed atomic ops per *call* plus one relaxed
 /// `fetch_add` per distinct evaluation; wall-clock reads for the
 /// per-eval latency histogram are sampled (see
 /// [`EvalMetrics::for_tenant`]). A problem without attached metrics
-/// pays nothing beyond one branch per batch.
+/// pays nothing beyond one branch per call.
 #[derive(Debug)]
 pub struct EvalMetrics {
     evals: Counter,
@@ -67,7 +67,7 @@ impl EvalMetrics {
             ),
             batch_seconds: registry.histogram(
                 "digamma_eval_batch_seconds",
-                "Wall time of whole evaluate_batch calls (one per GA generation).",
+                "Wall time of whole evaluation calls (one per evaluate/evaluate_batch call).",
                 &t,
                 DEFAULT_LATENCY_BUCKETS,
             ),
@@ -95,9 +95,10 @@ impl EvalMetrics {
 /// when tracing is enabled for a job. The same sampling discipline as
 /// [`EvalMetrics`]: individual eval spans are recorded 1-in-64 (the
 /// ~450ns hot path must not be dominated by clock reads and span
-/// bookkeeping), while whole-batch spans — one per GA generation — are
-/// recorded every call. All spans nest under the job's run span and
-/// carry its job id, so they land in the job's Perfetto lane.
+/// bookkeeping), while whole-batch spans — one per `evaluate` /
+/// `evaluate_batch` call — are recorded every call. All spans nest
+/// under the job's run span and carry its job id, so they land in the
+/// job's Perfetto lane.
 #[derive(Debug)]
 pub struct EvalTrace {
     tracer: Tracer,
@@ -130,8 +131,8 @@ impl EvalTrace {
         });
     }
 
-    /// Records one whole-batch eval span (one per GA generation),
-    /// back-dated by its measured duration.
+    /// Records one whole-batch eval span (one per `evaluate` /
+    /// `evaluate_batch` call), back-dated by its measured duration.
     fn record_batch(&self, genomes: usize, distinct_evals: usize, elapsed: Duration) {
         let dur_ns = elapsed.as_nanos() as u64;
         self.tracer.record(SpanRecord {
@@ -148,6 +149,27 @@ impl EvalTrace {
             ],
         });
     }
+}
+
+/// The optional hooks on the evaluation hot path, attached together by
+/// [`CoOptProblem::with_eval_hooks`] and shared by every clone of the
+/// problem. The default (all `None`) is a bare problem. With neither
+/// metric nor span handles, per-layer evaluations run the bare closure
+/// whether or not a failpoint set is attached.
+#[derive(Debug, Default)]
+pub struct EvalHooks {
+    /// Tenant-labelled metric handles; attached by the server when its
+    /// registry is enabled.
+    pub metrics: Option<EvalMetrics>,
+    /// Span handles parented under the job's run span; attached by the
+    /// server when tracing is enabled.
+    pub trace: Option<EvalTrace>,
+    /// Failpoint set consulted once per [`CoOptProblem::evaluate`] /
+    /// [`CoOptProblem::evaluate_batch`] call (the `worker.eval` point):
+    /// a [`FailAction::Panic`] firing panics the call — the injected
+    /// "worker dies mid-search" fault the registry must catch. Disarmed,
+    /// the hit costs one relaxed atomic load per call.
+    pub faults: Option<Arc<FailSet>>,
 }
 
 /// Base cost assigned to infeasible designs (the paper's "negative
@@ -250,21 +272,26 @@ pub struct CoOptProblem {
     /// batch-local dedupe map (shared across clones of this problem, so a
     /// server's per-job problem copies report one total).
     batch_dedup_skipped: Arc<AtomicU64>,
-    /// Wall-clock nanoseconds spent inside [`CoOptProblem::evaluate`] /
-    /// [`CoOptProblem::evaluate_batch`], shared across clones like the
+    /// Wall-clock nanoseconds spent inside [`CoOptProblem::evaluate_batch`]
+    /// (and so [`CoOptProblem::evaluate`]), shared across clones like the
     /// dedupe counter — a job's timing breakdown reads one total even
     /// when the search uses constrained problem copies.
     eval_wall_ns: Arc<AtomicU64>,
-    /// Optional metric handles (tenant-labelled); attached by the
-    /// server when its registry is enabled.
-    eval_metrics: Option<Arc<EvalMetrics>>,
-    /// Optional span handles parented under the job's run span;
-    /// attached by the server when tracing is enabled.
-    eval_trace: Option<Arc<EvalTrace>>,
-    /// Optional failpoint set, consulted once per batch (the
-    /// `worker.eval` point); attached by the server so a chaos run can
-    /// panic a search mid-generation.
-    eval_faults: Option<Arc<FailSet>>,
+    /// Metric, span and failpoint hooks (see [`EvalHooks`]).
+    hooks: Arc<EvalHooks>,
+}
+
+/// One genome the genome memo could not answer, decoded for the
+/// per-layer pipeline of [`CoOptProblem::evaluate_batch`].
+struct Miss<'a> {
+    /// Position in the batch.
+    index: usize,
+    /// Its genome-memo key, when a memo is attached.
+    memo_key: Option<u64>,
+    /// Its fan-outs under the active constraint.
+    fanouts: &'a [u64],
+    /// Its decoded per-unique-layer mappings.
+    mappings: Vec<Mapping>,
 }
 
 impl CoOptProblem {
@@ -288,9 +315,7 @@ impl CoOptProblem {
             genome_key_prefix,
             batch_dedup_skipped: Arc::new(AtomicU64::new(0)),
             eval_wall_ns: Arc::new(AtomicU64::new(0)),
-            eval_metrics: None,
-            eval_trace: None,
-            eval_faults: None,
+            hooks: Arc::default(),
         }
     }
 
@@ -344,50 +369,21 @@ impl CoOptProblem {
         self.genome_memo.as_ref()
     }
 
-    /// Attaches tenant-labelled metric handles for the evaluation hot
-    /// path (see [`EvalMetrics`]). Shared by every clone of this
+    /// Attaches the evaluation hooks (metrics, spans, failpoints),
+    /// replacing any attached before. Shared by every clone of this
     /// problem, like the cache and dedupe counter.
-    pub fn with_eval_metrics(mut self, metrics: Arc<EvalMetrics>) -> CoOptProblem {
-        self.eval_metrics = Some(metrics);
+    pub fn with_eval_hooks(mut self, hooks: EvalHooks) -> CoOptProblem {
+        self.hooks = Arc::new(hooks);
         self
     }
 
-    /// The attached eval metric handles, if any.
-    pub fn eval_metrics(&self) -> Option<&Arc<EvalMetrics>> {
-        self.eval_metrics.as_ref()
+    /// The attached evaluation hooks.
+    pub fn eval_hooks(&self) -> &EvalHooks {
+        &self.hooks
     }
 
-    /// Attaches span handles for the evaluation hot path (see
-    /// [`EvalTrace`]). Shared by every clone of this problem, like the
-    /// cache and metric handles.
-    pub fn with_eval_trace(mut self, trace: Arc<EvalTrace>) -> CoOptProblem {
-        self.eval_trace = Some(trace);
-        self
-    }
-
-    /// The attached eval span handles, if any.
-    pub fn eval_trace(&self) -> Option<&Arc<EvalTrace>> {
-        self.eval_trace.as_ref()
-    }
-
-    /// Attaches a failpoint set to the evaluation hot path: every
-    /// [`CoOptProblem::evaluate_batch`] call hits the `worker.eval`
-    /// point, and a [`FailAction::Panic`] firing panics the batch —
-    /// the injected "worker dies mid-generation" fault the registry
-    /// must catch. Disarmed, the hit costs one relaxed atomic load per
-    /// batch; detached, one branch.
-    pub fn with_eval_faults(mut self, faults: Arc<FailSet>) -> CoOptProblem {
-        self.eval_faults = Some(faults);
-        self
-    }
-
-    /// The attached failpoint set, if any.
-    pub fn eval_faults(&self) -> Option<&Arc<FailSet>> {
-        self.eval_faults.as_ref()
-    }
-
-    /// Total wall time spent inside [`CoOptProblem::evaluate`] and
-    /// [`CoOptProblem::evaluate_batch`] across all clones of this
+    /// Total wall time spent inside [`CoOptProblem::evaluate_batch`]
+    /// (and so [`CoOptProblem::evaluate`]) across all clones of this
     /// problem — the "eval" slice of a job's timing breakdown.
     pub fn eval_wall(&self) -> Duration {
         Duration::from_nanos(self.eval_wall_ns.load(Ordering::Relaxed))
@@ -461,43 +457,15 @@ impl CoOptProblem {
     /// Scores a genome: the full evaluation block (decode → cost model →
     /// buffer allocation → constraint check), short-circuited by the
     /// genome memo when one is attached and already holds this genome.
+    /// It is a batch of one: [`CoOptProblem::evaluate_batch`]'s pipeline,
+    /// hooks included.
     ///
     /// Structurally invalid genomes (which repair should have prevented)
     /// are treated as maximally infeasible rather than panicking.
     pub fn evaluate(&self, genome: &Genome) -> DesignEvaluation {
-        let started = Instant::now();
-        let evaluation = self.evaluate_timed(genome);
-        self.eval_wall_ns.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        evaluation
-    }
-
-    /// [`CoOptProblem::evaluate`] below the wall-clock accumulator.
-    fn evaluate_timed(&self, genome: &Genome) -> DesignEvaluation {
-        let Some(memo) = &self.genome_memo else {
-            return self.evaluate_unmemoized(genome);
-        };
-        let key = self.genome_key(genome);
-        if let Some(hit) = memo.lookup(key) {
-            if let Some(m) = &self.eval_metrics {
-                m.memo_hits.inc();
-            }
-            return (*hit).clone();
-        }
-        if let Some(m) = &self.eval_metrics {
-            m.memo_misses.inc();
-        }
-        let evaluation = self.evaluate_unmemoized(genome);
-        memo.store(key, &Arc::new(evaluation.clone()));
-        evaluation
-    }
-
-    /// The evaluation pipeline below the genome memo.
-    fn evaluate_unmemoized(&self, genome: &Genome) -> DesignEvaluation {
-        let (fanouts, mappings) = self.decode_effective(genome);
-        match self.evaluate_mappings(fanouts, &mappings) {
-            Ok(eval) => eval,
-            Err(_) => Self::invalid_evaluation(fanouts.to_vec()),
-        }
+        self.evaluate_batch(std::slice::from_ref(genome), 1)
+            .pop()
+            .expect("a batch of one yields one evaluation")
     }
 
     /// The maximally-infeasible evaluation assigned to structurally
@@ -526,151 +494,184 @@ impl CoOptProblem {
     /// each distinct key to one evaluation (and one shared-cache probe),
     /// and [`CoOptProblem::batch_dedup_skipped`] counts the skips.
     ///
-    /// Results are identical to calling [`CoOptProblem::evaluate`] per
-    /// genome, in order, for any `threads` value — evaluation is pure, so
-    /// deduplication is semantics-preserving.
+    /// Results are identical to decoding each genome and scoring it with
+    /// [`CoOptProblem::evaluate_mappings`], in order, for any `threads`
+    /// value — evaluation is pure, so deduplication is
+    /// semantics-preserving.
     pub fn evaluate_batch(&self, genomes: &[Genome], threads: usize) -> Vec<DesignEvaluation> {
-        if let Some(faults) = &self.eval_faults {
+        let hooks = &*self.hooks;
+        if let Some(faults) = &hooks.faults {
             if faults.fired("worker.eval") == Some(FailAction::Panic) {
                 panic!("injected panic at failpoint \"worker.eval\"");
             }
         }
         let started = Instant::now();
-        let mut out: Vec<Option<DesignEvaluation>> = genomes.iter().map(|_| None).collect();
 
-        // Layer 0: the genome memo. Hits skip decoding entirely; only
-        // the misses proceed into the per-layer pipeline below.
-        let mut miss_keys: Vec<u64> = Vec::new();
-        let misses: Vec<usize> = match &self.genome_memo {
-            None => (0..genomes.len()).collect(),
-            Some(memo) => {
-                let mut misses = Vec::with_capacity(genomes.len());
-                for (i, genome) in genomes.iter().enumerate() {
+        // Layer 0: the genome memo. Hits skip decoding entirely; each miss
+        // is decoded once (no genome clones: the constraint's fan-outs
+        // thread straight into the decoder) for the per-layer pipeline.
+        let mut out: Vec<Option<DesignEvaluation>> = Vec::with_capacity(genomes.len());
+        let mut misses: Vec<Miss<'_>> = Vec::new();
+        for (index, genome) in genomes.iter().enumerate() {
+            let memo_key = match &self.genome_memo {
+                Some(memo) => {
                     let key = self.genome_key(genome);
-                    match memo.lookup(key) {
-                        Some(hit) => out[i] = Some((*hit).clone()),
-                        None => {
-                            misses.push(i);
-                            miss_keys.push(key);
-                        }
+                    if let Some(hit) = memo.lookup(key) {
+                        out.push(Some((*hit).clone()));
+                        continue;
                     }
+                    Some(key)
                 }
-                misses
-            }
-        };
-        if let (Some(m), true) = (&self.eval_metrics, self.genome_memo.is_some()) {
+                None => None,
+            };
+            let (fanouts, mappings) = self.decode_effective(genome);
+            misses.push(Miss { index, memo_key, fanouts, mappings });
+            out.push(None);
+        }
+        if let (Some(m), true) = (&hooks.metrics, self.genome_memo.is_some()) {
             m.memo_hits.add((genomes.len() - misses.len()) as u64);
             m.memo_misses.add(misses.len() as u64);
         }
-
-        // Decode every miss once (no genome clones: the constraint's
-        // fan-outs thread straight into the decoder).
-        let decoded: Vec<(&[u64], Vec<Mapping>)> =
-            misses.iter().map(|&i| self.decode_effective(&genomes[i])).collect();
-
-        // Layer 1: batch-local dedupe. First occurrence of a key claims
-        // a work slot; repeats reuse it. `layout` remembers, per genome
-        // and layer, which slot holds its report.
-        let mut slots: HashMap<u64, usize> = HashMap::new();
-        let mut work: Vec<(usize, &Mapping)> = Vec::new();
-        let mut layout: Vec<Vec<usize>> = Vec::with_capacity(decoded.len());
-        let mut skipped = 0u64;
-        for (_, mappings) in &decoded {
-            let mut per_genome = Vec::with_capacity(mappings.len());
-            for (li, mapping) in mappings.iter().enumerate() {
-                let key = self.evaluator.cache_key(&self.unique[li].layer, mapping);
-                let slot = match slots.get(&key) {
-                    Some(&slot) => {
-                        skipped += 1;
-                        slot
-                    }
-                    None => {
-                        let slot = work.len();
-                        slots.insert(key, slot);
-                        work.push((li, mapping));
-                        slot
-                    }
-                };
-                per_genome.push(slot);
-            }
-            layout.push(per_genome);
-        }
-        self.batch_dedup_skipped.fetch_add(skipped, Ordering::Relaxed);
-        if let Some(m) = &self.eval_metrics {
-            m.dedup_skipped.add(skipped);
-            m.evals.add(work.len() as u64);
-        }
-
-        // Layer 2: only distinct evaluations fan out to workers (and
-        // probe the attached shared per-layer cache, when there is one).
-        // With metrics or tracing attached, per-eval latency is observed
-        // on independent 1-in-64 samples so the clock reads stay off the
-        // common path; fully uninstrumented problems take the bare arm.
-        let results: Vec<Result<Arc<CostReport>, EvalError>> =
-            match (&self.eval_metrics, &self.eval_trace) {
-                (None, None) => crate::parallel::parallel_map(&work, threads, |&(li, mapping)| {
-                    self.evaluate_layer(&self.unique[li].layer, mapping)
-                }),
-                (metrics, trace) => {
-                    crate::parallel::parallel_map(&work, threads, |&(li, mapping)| {
-                        let sample_metrics = metrics.as_ref().is_some_and(|m| m.sample.due());
-                        let sample_trace = trace.as_ref().is_some_and(|t| t.sample.due());
-                        if sample_metrics || sample_trace {
-                            let eval_started = Instant::now();
-                            let result = self.evaluate_layer(&self.unique[li].layer, mapping);
-                            let elapsed = eval_started.elapsed();
-                            if sample_metrics {
-                                if let Some(m) = metrics {
-                                    m.eval_seconds.observe_duration(elapsed);
-                                }
-                            }
-                            if sample_trace {
-                                if let Some(t) = trace {
-                                    t.record_eval(li, elapsed);
-                                }
-                            }
-                            result
-                        } else {
-                            self.evaluate_layer(&self.unique[li].layer, mapping)
-                        }
-                    })
-                }
-            };
-
-        for (mi, (&i, ((fanouts, mappings), per_genome))) in
-            misses.iter().zip(decoded.iter().zip(&layout)).enumerate()
-        {
-            let mut reports = Vec::with_capacity(per_genome.len());
-            let mut failed = false;
-            for &slot in per_genome {
-                match &results[slot] {
-                    Ok(r) => reports.push(Arc::clone(r)),
-                    Err(_) => {
-                        failed = true;
-                        break;
-                    }
-                }
-            }
-            let evaluation = if failed {
-                Self::invalid_evaluation(fanouts.to_vec())
-            } else {
-                self.aggregate(fanouts, mappings, &reports)
-            };
-            if let Some(memo) = &self.genome_memo {
-                memo.store(miss_keys[mi], &Arc::new(evaluation.clone()));
-            }
-            out[i] = Some(evaluation);
-        }
+        let distinct =
+            if misses.is_empty() { 0 } else { self.evaluate_misses(&misses, threads, &mut out) };
 
         let elapsed = started.elapsed();
         self.eval_wall_ns.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-        if let Some(m) = &self.eval_metrics {
+        if let Some(m) = &hooks.metrics {
             m.batch_seconds.observe_duration(elapsed);
         }
-        if let Some(t) = &self.eval_trace {
-            t.record_batch(genomes.len(), work.len(), elapsed);
+        if let Some(t) = &hooks.trace {
+            t.record_batch(genomes.len(), distinct, elapsed);
         }
         out.into_iter().map(|e| e.expect("every genome evaluated")).collect()
+    }
+
+    /// The per-layer pipeline of [`CoOptProblem::evaluate_batch`] below
+    /// the genome memo: scores every miss into `out[miss.index]` (and
+    /// the memo), returning the number of distinct per-layer evaluations.
+    fn evaluate_misses(
+        &self,
+        misses: &[Miss<'_>],
+        threads: usize,
+        out: &mut [Option<DesignEvaluation>],
+    ) -> usize {
+        let hooks = &*self.hooks;
+
+        // Layer 1: batch-local dedupe. The first occurrence of a key
+        // claims a work slot and repeats reuse it; `layout` holds every
+        // miss's per-layer slots back to back. A key is computed at most
+        // once per `(layer, mapping)` and rides along to the cache probe.
+        // One genome cannot repeat a key (unique layers have distinct
+        // shapes), so a lone miss skips this layer: its layers are its
+        // work, and the cache probe computes their keys only when a
+        // cache exists.
+        let layers = self.unique.len();
+        let lone = misses.len() == 1;
+        let mut work: Vec<(usize, &Mapping, u64)> = Vec::new();
+        let mut layout: Vec<usize> = Vec::new();
+        if !lone {
+            let mut slots: HashMap<u64, usize> = HashMap::new();
+            layout.reserve(misses.len() * layers);
+            for miss in misses {
+                for (li, mapping) in miss.mappings.iter().enumerate() {
+                    let key = self.evaluator.cache_key(&self.unique[li].layer, mapping);
+                    layout.push(*slots.entry(key).or_insert_with(|| {
+                        work.push((li, mapping, key));
+                        work.len() - 1
+                    }));
+                }
+            }
+        }
+        let skipped = (layout.len() - work.len()) as u64;
+        if skipped > 0 {
+            self.batch_dedup_skipped.fetch_add(skipped, Ordering::Relaxed);
+        }
+
+        // Layer 2: only distinct evaluations run (and probe the attached
+        // shared per-layer cache, when there is one). With metrics or
+        // tracing attached, per-eval latency is observed on independent
+        // 1-in-64 samples so the clock reads stay off the common path;
+        // fully uninstrumented problems take the bare arm.
+        let results = match (&hooks.metrics, &hooks.trace) {
+            (None, None) => Self::run_work(misses, &work, threads, |li, mapping, key| {
+                self.evaluate_layer(li, mapping, key).ok()
+            }),
+            (metrics, trace) => Self::run_work(misses, &work, threads, |li, mapping, key| {
+                let sample_metrics = metrics.as_ref().is_some_and(|m| m.sample.due());
+                let sample_trace = trace.as_ref().is_some_and(|t| t.sample.due());
+                if sample_metrics || sample_trace {
+                    let eval_started = Instant::now();
+                    let result = self.evaluate_layer(li, mapping, key);
+                    let elapsed = eval_started.elapsed();
+                    if sample_metrics {
+                        if let Some(m) = metrics {
+                            m.eval_seconds.observe_duration(elapsed);
+                        }
+                    }
+                    if sample_trace {
+                        if let Some(t) = trace {
+                            t.record_eval(li, elapsed);
+                        }
+                    }
+                    result.ok()
+                } else {
+                    self.evaluate_layer(li, mapping, key).ok()
+                }
+            }),
+        };
+        if let Some(m) = &hooks.metrics {
+            m.dedup_skipped.add(skipped);
+            m.evals.add(results.len() as u64);
+        }
+
+        // Layer 3: aggregate each miss from its slots' reports. A slot
+        // without a report (its layer failed, or a lone miss stopped
+        // before it) makes the genome invalid.
+        let report = |flat: usize| {
+            let slot = if lone { flat } else { layout[flat] };
+            results.get(slot).and_then(Option::as_deref)
+        };
+        for (mi, miss) in misses.iter().enumerate() {
+            let per_genome = mi * layers..(mi + 1) * layers;
+            let evaluation = if per_genome.clone().all(|flat| report(flat).is_some()) {
+                self.aggregate(miss.fanouts, &miss.mappings, per_genome.filter_map(report))
+            } else {
+                Self::invalid_evaluation(miss.fanouts.to_vec())
+            };
+            if let (Some(memo), Some(key)) = (&self.genome_memo, miss.memo_key) {
+                memo.store(key, &Arc::new(evaluation.clone()));
+            }
+            out[miss.index] = Some(evaluation);
+        }
+        results.len()
+    }
+
+    /// Runs `eval` (`None` marks a failed layer): a lone miss's layers
+    /// in order on the calling thread, up to the first failure, since
+    /// the genome is invalid then and nothing consumes the rest; a
+    /// batch's deduplicated `work`, fanned out across `threads`.
+    fn run_work(
+        misses: &[Miss<'_>],
+        work: &[(usize, &Mapping, u64)],
+        threads: usize,
+        eval: impl Fn(usize, &Mapping, Option<u64>) -> Option<Arc<CostReport>> + Sync,
+    ) -> Vec<Option<Arc<CostReport>>> {
+        match misses {
+            [lone] => {
+                let mut results = Vec::with_capacity(lone.mappings.len());
+                results.extend(
+                    lone.mappings
+                        .iter()
+                        .enumerate()
+                        .map(|(li, mapping)| eval(li, mapping, None))
+                        .take_while(Option::is_some),
+                );
+                results
+            }
+            _ => crate::parallel::parallel_map(work, threads, |&(li, mapping, key)| {
+                eval(li, mapping, Some(key))
+            }),
+        }
     }
 
     /// Identical `(layer shape, mapping)` evaluations skipped so far by
@@ -714,10 +715,13 @@ impl CoOptProblem {
         for lg in &genome.layers {
             h.write_u64(lg.levels.len() as u64);
             for level in &lg.levels {
-                h.write_u64(level.spatial_dim.index() as u64);
-                for d in level.order {
-                    h.write_u64(d.index() as u64);
-                }
+                // The spatial dim and loop order, one nibble per dim, go
+                // in as one word: the memo-hit path is mostly this hash.
+                let dims = level
+                    .order
+                    .iter()
+                    .fold(level.spatial_dim.index() as u64, |acc, d| acc << 4 | d.index() as u64);
+                h.write_u64(dims);
                 for (_, t) in level.tile.iter() {
                     h.write_u64(t);
                 }
@@ -798,21 +802,21 @@ impl CoOptProblem {
     ) -> Result<DesignEvaluation, EvalError> {
         assert_eq!(mappings.len(), self.unique.len(), "one mapping per unique layer");
         let mut reports = Vec::with_capacity(mappings.len());
-        for (u, mapping) in self.unique.iter().zip(mappings) {
-            reports.push(self.evaluate_layer(&u.layer, mapping)?);
+        for (li, mapping) in mappings.iter().enumerate() {
+            reports.push(self.evaluate_layer(li, mapping, None)?);
         }
-        Ok(self.aggregate(fanouts, mappings, &reports))
+        Ok(self.aggregate(fanouts, mappings, reports.iter().map(Arc::as_ref)))
     }
 
     /// Combines per-layer cost reports into one design evaluation: sum
     /// latency/energy weighted by layer multiplicity, derive the
     /// minimum-footprint hardware (or check the fixed one), and score
     /// against the area budget.
-    fn aggregate(
+    fn aggregate<'r>(
         &self,
         fanouts: &[u64],
         mappings: &[Mapping],
-        reports: &[Arc<CostReport>],
+        reports: impl IntoIterator<Item = &'r CostReport>,
     ) -> DesignEvaluation {
         let mut latency = 0.0;
         let mut energy = 0.0;
@@ -864,19 +868,23 @@ impl CoOptProblem {
         }
     }
 
-    /// One per-layer cost-model call, routed through the attached memo
-    /// cache when there is one. Errors (structurally invalid mappings)
-    /// are never cached — repair upstream makes them rare, and a penalty
-    /// evaluation is cheap anyway.
+    /// One cost-model call for unique layer `li`, routed through the
+    /// attached memo cache when there is one. `key` is the layer's cache
+    /// key when the caller already has it; otherwise it is computed here,
+    /// and only when a cache will probe it. Errors (structurally invalid
+    /// mappings) are never cached — repair upstream makes them rare, and
+    /// a penalty evaluation is cheap anyway.
     fn evaluate_layer(
         &self,
-        layer: &digamma_workload::Layer,
+        li: usize,
         mapping: &Mapping,
+        key: Option<u64>,
     ) -> Result<Arc<CostReport>, EvalError> {
+        let layer = &self.unique[li].layer;
         let Some(cache) = &self.cache else {
             return Ok(Arc::new(self.evaluator.evaluate(layer, mapping)?));
         };
-        let key = self.evaluator.cache_key(layer, mapping);
+        let key = key.unwrap_or_else(|| self.evaluator.cache_key(layer, mapping));
         if let Some(report) = cache.lookup(key) {
             return Ok(report);
         }
@@ -915,28 +923,73 @@ mod tests {
         }
     }
 
+    /// A test per-layer cache: a plain locked map.
+    #[derive(Debug, Default)]
+    struct MapCache(std::sync::Mutex<HashMap<u64, Arc<CostReport>>>);
+
+    impl EvalCache for MapCache {
+        fn lookup(&self, key: u64) -> Option<Arc<CostReport>> {
+            self.0.lock().unwrap().get(&key).cloned()
+        }
+        fn store(&self, key: u64, report: &Arc<CostReport>) {
+            self.0.lock().unwrap().insert(key, Arc::clone(report));
+        }
+    }
+
     #[test]
     fn evaluate_batch_matches_per_genome_evaluate() {
-        let p = problem();
+        let fixed = Constraint::FixedHw(HwConfig {
+            fanouts: vec![8, 8],
+            l2_words: 1 << 16,
+            mid_words_per_unit: vec![],
+            l1_words_per_pe: 256,
+        });
         let mut rng = SmallRng::seed_from_u64(8);
-        let mut genomes: Vec<Genome> =
-            (0..8).map(|_| Genome::random(&mut rng, p.unique_layers(), p.platform(), 2)).collect();
-        // A duplicate genome, as elites and their unmutated offspring
-        // produce in every real generation.
-        genomes.push(genomes[0].clone());
-        for threads in [1, 4] {
-            let batch = p.evaluate_batch(&genomes, threads);
-            for (g, e) in genomes.iter().zip(&batch) {
-                assert_eq!(*e, p.evaluate(g), "dedupe must not change results");
+        for constraint in [Constraint::None, fixed] {
+            let plain = problem().with_constraint(constraint.clone());
+            let memoized = plain
+                .clone()
+                .with_cache(Arc::new(MapCache::default()))
+                .with_genome_memo(Arc::new(CountingMemo::default()));
+            let mut genomes: Vec<Genome> = (0..8)
+                .map(|_| Genome::random(&mut rng, plain.unique_layers(), plain.platform(), 2))
+                .collect();
+            // A duplicate genome, as elites and their unmutated offspring
+            // produce in every real generation.
+            genomes.push(genomes[0].clone());
+            // The independent reference: decode each genome under the
+            // constraint and score its mappings directly.
+            let reference: Vec<DesignEvaluation> = genomes
+                .iter()
+                .map(|g| {
+                    let fanouts = match plain.constraint() {
+                        Constraint::None => &g.fanouts,
+                        Constraint::FixedHw(hw) => &hw.fanouts,
+                    };
+                    let mappings = g.decode_with_fanouts(plain.unique_layers(), fanouts);
+                    plain
+                        .evaluate_mappings(fanouts, &mappings)
+                        .unwrap_or_else(|_| CoOptProblem::invalid_evaluation(fanouts.clone()))
+                })
+                .collect();
+            assert!(reference.iter().any(|e| e.feasible), "{constraint:?}: all infeasible");
+            // Memoized passes run twice: cold, then served by the memo.
+            for p in [&plain, &memoized, &memoized] {
+                for threads in [1, 4] {
+                    assert_eq!(p.evaluate_batch(&genomes, threads), reference, "{constraint:?}");
+                }
+                for (g, e) in genomes.iter().zip(&reference) {
+                    assert_eq!(p.evaluate(g), *e, "{constraint:?}: batch of one diverged");
+                }
             }
+            // The duplicate's per-layer evaluations were all skipped, on
+            // each uncached pass over the batch.
+            assert!(
+                plain.batch_dedup_skipped() >= 2 * plain.unique_layers().len() as u64,
+                "skipped only {}",
+                plain.batch_dedup_skipped()
+            );
         }
-        // The duplicate's per-layer evaluations were all skipped (twice:
-        // once per thread count above).
-        assert!(
-            p.batch_dedup_skipped() >= 2 * p.unique_layers().len() as u64,
-            "skipped only {}",
-            p.batch_dedup_skipped()
-        );
     }
 
     /// A test genome memo that counts traffic and records stores.
@@ -1039,8 +1092,10 @@ mod tests {
     #[test]
     fn eval_metrics_do_not_change_results_and_wall_clock_accumulates() {
         let registry = MetricsRegistry::new();
-        let metered =
-            problem().with_eval_metrics(Arc::new(EvalMetrics::for_tenant(&registry, "t")));
+        let metered = problem().with_eval_hooks(EvalHooks {
+            metrics: Some(EvalMetrics::for_tenant(&registry, "t")),
+            ..EvalHooks::default()
+        });
         let plain = problem();
         let mut rng = SmallRng::seed_from_u64(21);
         let genomes: Vec<Genome> = (0..4)
@@ -1061,9 +1116,11 @@ mod tests {
         clone.evaluate(&genomes[0]);
         assert!(metered.eval_wall() > before, "clone must feed the shared eval-wall total");
 
+        // One batch call plus the clone's single-genome call: both are
+        // batches, so both observe the histogram.
         let text = registry.render();
         assert!(text.contains("digamma_evals_total{tenant=\"t\"}"), "{text}");
-        assert!(text.contains("digamma_eval_batch_seconds_count{tenant=\"t\"} 1"), "{text}");
+        assert!(text.contains("digamma_eval_batch_seconds_count{tenant=\"t\"} 2"), "{text}");
     }
 
     #[test]
@@ -1073,7 +1130,10 @@ mod tests {
             let span = tracer.start_root("job.run");
             span.context().expect("enabled tracer yields contexts")
         };
-        let traced = problem().with_eval_trace(Arc::new(EvalTrace::new(tracer.clone(), root, 9)));
+        let traced = problem().with_eval_hooks(EvalHooks {
+            trace: Some(EvalTrace::new(tracer.clone(), root, 9)),
+            ..EvalHooks::default()
+        });
         let plain = problem();
         let mut rng = SmallRng::seed_from_u64(33);
         let genomes: Vec<Genome> = (0..4)

@@ -22,8 +22,8 @@ use crate::job::{JobAlgorithm, JobReport, JobSpec};
 use crate::metrics::{MeteredEvalCache, MeteredGenomeMemo};
 use crate::snapshot::Snapshot;
 use digamma::{
-    run_algorithm, scoped_workers, CoOptProblem, DiGamma, DiGammaConfig, EvalMetrics, EvalTrace,
-    Gamma, GammaConfig, SearchResult, SearchState, StepAction, StepObserver,
+    run_algorithm, scoped_workers, CoOptProblem, DiGamma, DiGammaConfig, EvalHooks, EvalMetrics,
+    EvalTrace, Gamma, GammaConfig, SearchResult, SearchState, StepAction, StepObserver,
 };
 use digamma_obs::{
     FailSet, GenStats, Histogram, LogLevel, MetricsRegistry, OpCounters, SpanContext, SpanRecord,
@@ -461,9 +461,8 @@ impl SearchServer {
         let mut problem =
             CoOptProblem::new(spec.model.clone(), spec.platform.clone(), spec.objective);
         // With metrics on, the cache views are wrapped in metering
-        // shims (tenant-labelled probe counters, sampled probe latency)
-        // and the eval hot path gets its handles; with metrics off the
-        // plain views attach directly and the hot path stays bare.
+        // shims (tenant-labelled probe counters, sampled probe latency);
+        // with metrics off the plain views attach directly.
         if self.metrics.enabled() {
             if let Some(view) = &view {
                 problem = problem.with_cache(Arc::new(MeteredEvalCache::new(
@@ -478,8 +477,6 @@ impl SearchServer {
                     Arc::clone(genome_view) as _,
                 )) as _);
             }
-            problem = problem
-                .with_eval_metrics(Arc::new(EvalMetrics::for_tenant(&self.metrics, &spec.tenant)));
         } else {
             if let Some(view) = &view {
                 problem = problem.with_cache(Arc::clone(view) as _);
@@ -488,9 +485,6 @@ impl SearchServer {
                 problem = problem.with_genome_memo(Arc::clone(genome_view) as _);
             }
         }
-        // The `worker.eval` failpoint rides the batch path; disarmed
-        // (the default) it costs one relaxed load per generation batch.
-        problem = problem.with_eval_faults(Arc::clone(&self.config.faults));
 
         // With tracing on and a claim span stamped on the control, the
         // whole run nests under it: one `job.run` span covering the
@@ -509,10 +503,18 @@ impl SearchServer {
             (Some(ctx), Some((job, _))) => Some((job, ctx)),
             _ => None,
         };
-        if let Some((job, ctx)) = run_trace {
-            problem =
-                problem.with_eval_trace(Arc::new(EvalTrace::new(self.tracer.clone(), ctx, job)));
-        }
+        // Every evaluation — GA batch or baseline sample — feeds the
+        // tenant's eval metrics and the run's spans, and hits the
+        // `worker.eval` failpoint (disarmed by default: one relaxed load
+        // per call).
+        problem = problem.with_eval_hooks(EvalHooks {
+            metrics: self
+                .metrics
+                .enabled()
+                .then(|| EvalMetrics::for_tenant(&self.metrics, &spec.tenant)),
+            trace: run_trace.map(|(job, ctx)| EvalTrace::new(self.tracer.clone(), ctx, job)),
+            faults: Some(Arc::clone(&self.config.faults)),
+        });
 
         let outcome = match spec.algorithm {
             JobAlgorithm::DiGamma => {

@@ -2218,6 +2218,53 @@ mod tests {
     }
 
     #[test]
+    fn baseline_jobs_feed_eval_metrics_spans_and_failpoints() {
+        let cma = |name: &str| {
+            let mut s = spec(name, 200);
+            s.algorithm = JobAlgorithm::Baseline(digamma_opt::Algorithm::Cma);
+            s.tenant = "t".to_owned();
+            s
+        };
+        // Every ask/tell sample is an evaluation call: it counts, times
+        // and traces like a GA batch does.
+        let registry =
+            JobRegistry::start(ServerConfig { workers: 1, ..ServerConfig::default() }, None)
+                .unwrap();
+        let id = registry.submit(cma("visible")).unwrap();
+        assert_eq!(wait_done(&registry, id).status, JobStatus::Done);
+        let samples = digamma_obs::parse_text(&registry.render_metrics()).unwrap();
+        let value = |name: &str| {
+            samples
+                .iter()
+                .find(|s| s.name == name && s.label("tenant") == Some("t"))
+                .map_or(0.0, |s| s.value)
+        };
+        assert!(value("digamma_evals_total") > 0.0);
+        assert!(value("digamma_eval_batch_seconds_count") > 0.0);
+        let trace = registry.trace_of(id).expect("claimed jobs have a trace");
+        let spans = registry.tracer().spans_for(trace);
+        assert!(spans.iter().any(|s| s.name == "eval.batch"), "no eval spans");
+        registry.shutdown();
+
+        // The `worker.eval` failpoint fires on the first sample: the job
+        // fails terminally, nothing was consumed, the budget refunds.
+        let config = ServerConfig { workers: 1, ..ServerConfig::default() };
+        config.faults.configure("worker.eval=panic,once").unwrap();
+        let registry = JobRegistry::start(config, None).unwrap();
+        let doomed = registry.submit(cma("doomed")).unwrap();
+        let view = wait_done(&registry, doomed);
+        assert_eq!(view.status, JobStatus::Failed);
+        assert!(view.report.is_none(), "a panicked job has no report");
+        let stats = registry.stats();
+        assert_eq!(stats.failed, 1);
+        let tenant = stats.tenants.iter().find(|t| t.id == "t").unwrap();
+        assert_eq!(tenant.failed, 1);
+        assert_eq!(tenant.evals_submitted, 0);
+        assert_eq!(tenant.evals_consumed, 0);
+        registry.shutdown();
+    }
+
+    #[test]
     fn drain_finishes_accepted_work_then_refuses_new() {
         let registry =
             JobRegistry::start(ServerConfig { workers: 1, ..ServerConfig::default() }, None)
