@@ -79,14 +79,12 @@ fn install_sigterm_handler() {
 struct Options {
     addr: String,
     config: ServerConfig,
-    tenants_path: Option<PathBuf>,
     io_timeout: Option<Duration>,
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut addr = "127.0.0.1:7171".to_owned();
     let mut config = ServerConfig::default();
-    let mut tenants_path = None;
     let mut io_timeout = None;
     let mut iter = args.iter();
     while let Some(flag) = iter.next() {
@@ -125,7 +123,11 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 config.checkpoint_dir = Some(PathBuf::from(value("--checkpoint-dir")?));
             }
             "--tenants" => {
-                tenants_path = Some(PathBuf::from(value("--tenants")?));
+                let path = value("--tenants")?;
+                let text = std::fs::read_to_string(path)
+                    .map_err(|e| format!("cannot read tenants file {path}: {e}"))?;
+                config.tenants =
+                    TenantSet::parse(&text).map_err(|e| format!("bad tenants file {path}: {e}"))?;
             }
             // Turns the metrics registry off: instrumentation degrades
             // to dead atomic ops and `GET /metrics` renders empty.
@@ -167,7 +169,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     if config.workers == 0 {
         return Err("--workers must be at least 1".to_owned());
     }
-    Ok(Options { addr, config, tenants_path, io_timeout })
+    Ok(Options { addr, config, io_timeout })
 }
 
 fn run() -> Result<(), String> {
@@ -181,20 +183,11 @@ fn run() -> Result<(), String> {
         }
         None => None,
     };
-    let tenants = match &options.tenants_path {
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read tenants file {}: {e}", path.display()))?;
-            TenantSet::parse(&text)
-                .map_err(|e| format!("bad tenants file {}: {e}", path.display()))?
-        }
-        None => TenantSet::default(),
-    };
-    let tenant_count = tenants.len();
-    let authenticated = tenants.requires_auth();
+    let tenant_count = options.config.tenants.len();
+    let authenticated = options.config.tenants.requires_auth();
     let drain_deadline = options.config.drain_deadline;
     let registry = Arc::new(
-        JobRegistry::start_with_tenants(options.config, journal, tenants)
+        JobRegistry::start(options.config, journal)
             .map_err(|e| format!("cannot start registry: {e}"))?,
     );
     let replayed = registry.stats().queued;

@@ -43,7 +43,7 @@ use crate::httpio::{
 };
 use digamma_obs::{render_chrome_trace, SpanContext};
 use digamma_server::textio::Section;
-use digamma_server::{JobId, JobRegistry, JobView, SubmitError};
+use digamma_server::{JobId, JobRegistry, JobView, SubmitError, SubmitRequest};
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -93,7 +93,7 @@ pub fn handle(
     // Authenticate first: once any tenant has a token, *every* endpoint
     // demands one, and the authenticated tenant id becomes the
     // request's identity.
-    let tenants = registry.tenants();
+    let tenants = &registry.server().config().tenants;
     let identity: Option<String> = if tenants.requires_auth() {
         match request.bearer_token().and_then(|token| tenants.by_token(token)) {
             Some(tenant) => Some(tenant.id.clone()),
@@ -128,7 +128,15 @@ pub fn handle(
                 }
                 None => None,
             };
-            match registry.submit_manifest_keyed(&body, identity.as_deref(), ctx, idempotency_key) {
+            let submitted = SubmitRequest::manifest(&body).and_then(|manifest| {
+                registry.submit(SubmitRequest {
+                    tenant: identity,
+                    trace: ctx,
+                    idempotency_key: idempotency_key.map(str::to_owned),
+                    ..manifest
+                })
+            });
+            match submitted {
                 Ok(ids) => {
                     let sections: Vec<Section> = ids
                         .iter()

@@ -17,7 +17,8 @@ struct Service {
 
 impl Service {
     fn start(config: ServerConfig, tenants: TenantSet) -> Service {
-        let registry = Arc::new(JobRegistry::start_with_tenants(config, None, tenants).unwrap());
+        let config = ServerConfig { tenants, ..config };
+        let registry = Arc::new(JobRegistry::start(config, None).unwrap());
         let server = NetServer::bind("127.0.0.1:0", registry).unwrap();
         let addr = server.local_addr().unwrap().to_string();
         let handle = server.shutdown_handle().unwrap();

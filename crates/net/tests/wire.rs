@@ -16,16 +16,15 @@ struct Service {
 
 impl Service {
     fn start(workers: usize, checkpoint_dir: Option<PathBuf>) -> Service {
-        Service::start_with_tenants(workers, checkpoint_dir, TenantSet::default())
+        Service::launch(ServerConfig { workers, checkpoint_dir, ..ServerConfig::default() })
     }
 
-    fn start_with_tenants(
-        workers: usize,
-        checkpoint_dir: Option<PathBuf>,
-        tenants: TenantSet,
-    ) -> Service {
-        let config = ServerConfig { workers, checkpoint_dir, ..ServerConfig::default() };
-        let registry = Arc::new(JobRegistry::start_with_tenants(config, None, tenants).unwrap());
+    fn with_roster(workers: usize, tenants: TenantSet) -> Service {
+        Service::launch(ServerConfig { workers, tenants, ..ServerConfig::default() })
+    }
+
+    fn launch(config: ServerConfig) -> Service {
+        let registry = Arc::new(JobRegistry::start(config, None).unwrap());
         let server = NetServer::bind("127.0.0.1:0", Arc::clone(&registry)).unwrap();
         let addr = server.local_addr().unwrap().to_string();
         let handle = server.shutdown_handle().unwrap();
@@ -239,7 +238,7 @@ fn bearer_auth_guards_the_wire_and_pins_identity() {
          [tenant]\nid = broke\ntoken = broke-secret\nmax_evals = 10\n",
     )
     .unwrap();
-    let service = Service::start_with_tenants(1, None, roster);
+    let service = Service::with_roster(1, roster);
     let alpha = Some("alpha-secret");
 
     // Anonymous and wrong-token requests bounce with 401 on every route.
@@ -294,7 +293,7 @@ fn weighted_tenants_share_the_workers_three_to_one() {
     let roster =
         TenantSet::parse("[tenant]\nid = alpha\nweight = 3\n\n[tenant]\nid = beta\nweight = 1\n")
             .unwrap();
-    let service = Service::start_with_tenants(2, None, roster);
+    let service = Service::with_roster(2, roster);
     let mut manifest = String::new();
     for k in 0..20 {
         for tenant in ["alpha", "beta"] {

@@ -333,11 +333,7 @@ fn parse_spec(spec: &str) -> Result<Vec<(String, FailPoint)>, String> {
         }
         // Default probability seed: a stable hash of the point name, so
         // unseeded probabilistic points are still run-to-run stable.
-        let seed = seed.unwrap_or_else(|| {
-            name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
-            })
-        });
+        let seed = seed.unwrap_or_else(|| crate::fnv1a64(crate::FNV1A64_OFFSET, name.as_bytes()));
         out.push((
             name.to_owned(),
             FailPoint {

@@ -568,21 +568,23 @@ impl MetricsRegistry {
     }
 }
 
+/// The FNV-1a 64 offset basis: the state [`fnv1a64`] folds from.
+pub const FNV1A64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` onto an FNV-1a 64 `state` (start from
+/// [`FNV1A64_OFFSET`]). Byte-wise and stable across builds and
+/// platforms, so it may key on-disk data such as journal checksums.
+#[must_use]
+pub fn fnv1a64(state: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(state, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
 fn shard_of(key: &SeriesKey) -> usize {
     // FNV-1a over the name and label bytes; only shard selection, so
     // collisions are harmless.
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x100_0000_01b3);
-        }
-    };
-    eat(key.name.as_bytes());
-    for (k, v) in &key.labels {
-        eat(k.as_bytes());
-        eat(v.as_bytes());
-    }
+    let hash = key.labels.iter().fold(fnv1a64(FNV1A64_OFFSET, key.name.as_bytes()), |h, (k, v)| {
+        fnv1a64(fnv1a64(h, k.as_bytes()), v.as_bytes())
+    });
     (hash % SHARDS as u64) as usize
 }
 
@@ -807,6 +809,19 @@ fn parse_sample(line: &str) -> Result<Sample, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a64_matches_the_reference_vectors() {
+        for (input, want) in [
+            ("", 0xcbf2_9ce4_8422_2325u64),
+            ("a", 0xaf63_dc4c_8601_ec8c),
+            ("foobar", 0x8594_4171_f739_67e8),
+        ] {
+            assert_eq!(fnv1a64(FNV1A64_OFFSET, input.as_bytes()), want, "{input:?}");
+        }
+        // A fold over pieces equals the fold over their concatenation.
+        assert_eq!(fnv1a64(fnv1a64(FNV1A64_OFFSET, b"foo"), b"bar"), 0x8594_4171_f739_67e8);
+    }
 
     #[test]
     fn counter_interned_by_name_and_labels() {

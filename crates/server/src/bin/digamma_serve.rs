@@ -6,7 +6,7 @@
 //!               [--eviction fifo|lru] [--checkpoint-dir DIR]
 //! ```
 //!
-//! Reads the job manifest (see [`digamma_server::parse_manifest_full`]
+//! Reads the job manifest (see [`digamma_server::parse_manifest`]
 //! for the format — an optional `[server]` section sets service
 //! defaults, which the CLI flags above override), schedules every job
 //! across the worker pool with the shared fitness cache, and prints one
@@ -18,7 +18,7 @@
 //! HTTP while searches run, stream progress, cancel), see
 //! `digamma-netd` in the `digamma-net` crate.
 
-use digamma_server::{parse_manifest_full, EvictionPolicy, SearchServer, ServerConfig};
+use digamma_server::{parse_manifest, EvictionPolicy, SearchServer, ServerConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -81,7 +81,7 @@ fn run() -> Result<(), String> {
     let options = parse_args(&args)?;
     let text = std::fs::read_to_string(&options.manifest)
         .map_err(|e| format!("cannot read {}: {e}", options.manifest.display()))?;
-    let manifest = parse_manifest_full(&text).map_err(|e| format!("bad manifest: {e}"))?;
+    let manifest = parse_manifest(&text).map_err(|e| format!("bad manifest: {e}"))?;
 
     // Defaults ← manifest [server] overrides ← CLI flags.
     let mut config = ServerConfig::default();

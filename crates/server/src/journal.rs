@@ -43,9 +43,8 @@
 //! The sharper hazard is a *torn-then-overwritten* tail: a partial
 //! record with no trailing newline glues onto the next append's header
 //! line, producing a block that still parses but carries another
-//! record's keys. The per-record `crc` (FNV-1a 64 over the record
-//! rendered without its `crc` line, the same hash family as `cachekey`)
-//! catches exactly that — mismatching records are skipped and counted
+//! record's keys. The per-record `crc` ([`digamma_obs::fnv1a64`] over
+//! the record rendered without its `crc` line) catches exactly that — mismatching records are skipped and counted
 //! in [`JournalReplay::corrupt`], never replayed as garbage.
 //!
 //! Failure domains are injectable: the `journal.append` failpoint tears
@@ -56,7 +55,7 @@ use crate::job::JobSpec;
 use crate::manifest::{parse_job_section, render_job};
 use crate::registry::{JobId, JobStatus};
 use crate::textio::{self, Section};
-use digamma_obs::{FailAction, FailSet};
+use digamma_obs::{fnv1a64, FailAction, FailSet, FNV1A64_OFFSET};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -69,13 +68,6 @@ use std::sync::Arc;
 /// verification.
 pub const JOURNAL_VERSION: u64 = 3;
 
-/// FNV-1a 64 — the same stable hash family the cache keys use.
-fn fnv64(bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01B3))
-}
-
 /// The checksum of a record: FNV-1a 64 over the section rendered
 /// *without* its `crc` entry, as 16 hex digits. Entry order matters and
 /// is preserved by both [`Section::render`] and the parser, so append
@@ -87,7 +79,7 @@ fn record_crc(section: &Section) -> String {
             clean.entries.push((key.clone(), value.clone()));
         }
     }
-    format!("{:016x}", fnv64(clean.render().as_bytes()))
+    format!("{:016x}", fnv1a64(FNV1A64_OFFSET, clean.render().as_bytes()))
 }
 
 /// Prepends the `crc` entry to a freshly built record. The checksum
@@ -149,39 +141,21 @@ impl Journal {
         &self.path
     }
 
-    /// Records an accepted job. Must happen before the job first runs —
-    /// the journal is what makes it survive a kill.
+    /// Records an accepted batch in one filesystem append, before any
+    /// of its jobs first runs — the journal is what makes them survive
+    /// a kill. A batch is journaled all-or-nothing (modulo a torn tail,
+    /// which replay drops). When the submission carried an idempotency
+    /// key, an `[idempotency]` record binding `(scope, key)` to the
+    /// batch's ids lands in the *same* append — so dedupe state
+    /// survives a restart exactly when the jobs it guards do. A torn
+    /// append drops the key along with the batch, which is safe: the
+    /// client never saw a response, so its retry re-submitting from
+    /// scratch is the correct outcome.
     ///
     /// # Errors
     ///
     /// Returns [`std::io::Error`] when the append fails.
-    pub fn append_submitted(&self, id: JobId, spec: &JobSpec) -> std::io::Result<()> {
-        self.append_submitted_all(&[(id, spec)])
-    }
-
-    /// Records a whole accepted batch in one filesystem append, so a
-    /// batch submission is journaled all-or-nothing (modulo a torn tail,
-    /// which replay drops).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`std::io::Error`] when the append fails.
-    pub fn append_submitted_all(&self, batch: &[(JobId, &JobSpec)]) -> std::io::Result<()> {
-        self.append_submitted_keyed(batch, None)
-    }
-
-    /// Like [`Journal::append_submitted_all`], but when the submission
-    /// carried an idempotency key, a `[idempotency]` record binding
-    /// `(scope, key)` to the batch's ids lands in the *same* filesystem
-    /// append — so dedupe state survives a restart exactly when the jobs
-    /// it guards do. A torn append drops the key along with the batch,
-    /// which is safe: the client never saw a response, so its retry
-    /// re-submitting from scratch is the correct outcome.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`std::io::Error`] when the append fails.
-    pub fn append_submitted_keyed(
+    pub fn append_submitted(
         &self,
         batch: &[(JobId, &JobSpec)],
         idempotency: Option<(&str, &str)>,
@@ -415,9 +389,9 @@ mod tests {
     #[test]
     fn replay_recovers_unfinished_jobs_in_order() {
         let journal = temp_journal("order");
-        journal.append_submitted(1, &spec("a")).unwrap();
-        journal.append_submitted(2, &spec("b")).unwrap();
-        journal.append_submitted(3, &spec("c")).unwrap();
+        journal.append_submitted(&[(1, &spec("a"))], None).unwrap();
+        journal.append_submitted(&[(2, &spec("b"))], None).unwrap();
+        journal.append_submitted(&[(3, &spec("c"))], None).unwrap();
         journal.append_finished(2, JobStatus::Done).unwrap();
         let replay = journal.replay().unwrap();
         let names: Vec<&str> = replay.pending.iter().map(|(_, s)| s.name.as_str()).collect();
@@ -439,7 +413,7 @@ mod tests {
     #[test]
     fn truncated_tail_is_dropped_not_fatal() {
         let journal = temp_journal("truncated");
-        journal.append_submitted(1, &spec("alive")).unwrap();
+        journal.append_submitted(&[(1, &spec("alive"))], None).unwrap();
         // A kill mid-append: a half-written record at the tail.
         let mut text = std::fs::read_to_string(journal.path()).unwrap();
         text.push_str("[submitted]\nid = 2\nname = half-wr");
@@ -454,7 +428,7 @@ mod tests {
     #[test]
     fn fresh_journals_carry_the_version_header_once() {
         let journal = temp_journal("header");
-        journal.append_submitted(1, &spec("a")).unwrap();
+        journal.append_submitted(&[(1, &spec("a"))], None).unwrap();
         journal.append_finished(1, JobStatus::Done).unwrap();
         let text = std::fs::read_to_string(journal.path()).unwrap();
         assert!(text.starts_with("[journal]\nversion = 3\n"), "{text}");
@@ -466,7 +440,7 @@ mod tests {
     #[test]
     fn every_record_is_sealed_with_a_matching_crc() {
         let journal = temp_journal("crc");
-        journal.append_submitted(1, &spec("sealed")).unwrap();
+        journal.append_submitted(&[(1, &spec("sealed"))], None).unwrap();
         journal.append_finished(1, JobStatus::Failed).unwrap();
         let text = std::fs::read_to_string(journal.path()).unwrap();
         assert_eq!(text.matches("crc = ").count(), 2, "{text}");
@@ -479,8 +453,8 @@ mod tests {
     #[test]
     fn bit_flipped_records_are_skipped_and_counted() {
         let journal = temp_journal("flip");
-        journal.append_submitted(1, &spec("clean")).unwrap();
-        journal.append_submitted(2, &spec("damaged")).unwrap();
+        journal.append_submitted(&[(1, &spec("clean"))], None).unwrap();
+        journal.append_submitted(&[(2, &spec("damaged"))], None).unwrap();
         // Flip one byte of record 2's content (its name), leaving it a
         // perfectly well-formed section.
         let text = std::fs::read_to_string(journal.path()).unwrap();
@@ -497,7 +471,7 @@ mod tests {
     #[test]
     fn torn_then_overwritten_records_are_convicted_not_merged() {
         let journal = temp_journal("torn-overwrite");
-        journal.append_submitted(1, &spec("alive")).unwrap();
+        journal.append_submitted(&[(1, &spec("alive"))], None).unwrap();
         // A torn append: the record loses its tail *and* its newline,
         // so the next append's header glues onto the dangling line —
         // the block still parses, but its content is two records'
@@ -564,7 +538,7 @@ status = done
         set.configure("journal.append=short,once").unwrap();
         assert_eq!(set.fired("journal.append"), Some(FailAction::Short));
         let journal = temp_journal("torn-tail");
-        journal.append_submitted(1, &spec("whole")).unwrap();
+        journal.append_submitted(&[(1, &spec("whole"))], None).unwrap();
         let mut text = std::fs::read_to_string(journal.path()).unwrap();
         let tail = {
             let mut section = Section::new("finished");
@@ -634,8 +608,8 @@ status = done
         let journal = temp_journal("idem");
         let a = spec("a");
         let b = spec("b");
-        journal.append_submitted_keyed(&[(1, &a), (2, &b)], Some(("alpha", "k-123"))).unwrap();
-        journal.append_submitted(3, &spec("unkeyed")).unwrap();
+        journal.append_submitted(&[(1, &a), (2, &b)], Some(("alpha", "k-123"))).unwrap();
+        journal.append_submitted(&[(3, &spec("unkeyed"))], None).unwrap();
         let replay = journal.replay().unwrap();
         assert_eq!(replay.idempotency, vec![("alpha".into(), "k-123".into(), vec![1, 2])]);
         assert_eq!(replay.pending.len(), 3, "the key record must not shadow the jobs");
@@ -652,13 +626,66 @@ status = done
         std::fs::remove_file(journal.path()).ok();
     }
 
+    /// A keyed batch and its finish, byte for byte as journal version 3
+    /// has always written them. The checksums are pinned: journals on
+    /// disk must keep verifying after any refactor of the hash.
+    const PINNED_V3: &str = "\
+[journal]
+version = 3
+
+[submitted]
+crc = 5edc4512f8e596b6
+id = 1
+name = pinned
+tenant = alpha
+model = ncf
+platform = edge
+objective = latency
+algorithm = digamma
+budget = 96
+seed = 0
+population = 20
+threads = 1
+
+[idempotency]
+crc = 70adf3875d0a5252
+key = k-pin
+tenant = alpha
+ids = 1
+
+[finished]
+crc = 83881637dd03ed67
+id = 1
+status = done
+
+";
+
+    #[test]
+    fn record_checksums_are_pinned_and_old_journals_replay() {
+        let journal = temp_journal("pinned");
+        let mut s = spec("pinned");
+        s.budget = 96;
+        s.population_size = 20;
+        s.tenant = "alpha".to_owned();
+        journal.append_submitted(&[(1, &s)], Some(("alpha", "k-pin"))).unwrap();
+        journal.append_finished(1, JobStatus::Done).unwrap();
+        assert_eq!(std::fs::read_to_string(journal.path()).unwrap(), PINNED_V3);
+        std::fs::write(journal.path(), PINNED_V3).unwrap();
+        let replay = journal.replay().unwrap();
+        assert_eq!(replay.corrupt, 0);
+        assert_eq!(replay.finished, vec![(1, JobStatus::Done)]);
+        assert_eq!(replay.idempotency, vec![("alpha".into(), "k-pin".into(), vec![1])]);
+        assert_eq!(replay.next_id, 2);
+        std::fs::remove_file(journal.path()).ok();
+    }
+
     #[test]
     fn replayed_specs_round_trip_identity() {
         let journal = temp_journal("identity");
         let mut s = spec("exact");
         s.seed = 77;
         s.checkpoint_every = Some(3);
-        journal.append_submitted(9, &s).unwrap();
+        journal.append_submitted(&[(9, &s)], None).unwrap();
         let replay = journal.replay().unwrap();
         let (id, back) = &replay.pending[0];
         assert_eq!(*id, 9);

@@ -13,9 +13,13 @@
 //!   mapping, hardware/model constants); hits skip the cost model
 //!   entirely, and per-job [`JobCacheView`]s report each job's reuse,
 //! * [`Snapshot`] — versioned text checkpoints of GA state, so a killed
-//!   search resumes **bit-identically** instead of starting over, and
-//! * [`parse_manifest`] — the text manifest format the `digamma-serve`
-//!   binary reads.
+//!   search resumes **bit-identically** instead of starting over,
+//! * [`JobRegistry`] / [`SubmitRequest`] — the runtime service: every
+//!   submission, whether one spec or a parsed `POST /jobs` manifest
+//!   ([`SubmitRequest::manifest`]), is one request through
+//!   [`JobRegistry::submit`], and
+//! * [`parse_manifest`] — the text manifest format `digamma-serve` and
+//!   the wire front-end read.
 //!
 //! # Quickstart
 //!
@@ -63,10 +67,10 @@ pub use cache::{
     ShardedGenomeMemo,
 };
 pub use job::{JobAlgorithm, JobReport, JobSpec};
-pub use manifest::{parse_manifest, parse_manifest_full, render_job, Manifest, ServerOverrides};
+pub use manifest::{parse_manifest, render_job, Manifest, ServerOverrides};
 pub use queue::{AnalyticsUpdate, JobControl, JobProgress, SearchServer, ServerConfig};
 pub use registry::{
-    JobId, JobRegistry, JobStatus, JobView, RegistryStats, SubmitError, TenantStats,
+    JobId, JobRegistry, JobStatus, JobView, RegistryStats, SubmitError, SubmitRequest, TenantStats,
 };
 pub use snapshot::{Snapshot, SNAPSHOT_VERSION};
 pub use tenant::{valid_tenant_id, TenantSet, TenantSpec, DEFAULT_TENANT};

@@ -227,7 +227,7 @@ fn parse_server_section(section: &Section) -> Result<ServerOverrides, TextError>
 ///
 /// Returns [`TextError`] on syntax errors, unknown names or sections,
 /// duplicate job names, or an empty manifest.
-pub fn parse_manifest_full(text: &str) -> Result<Manifest, TextError> {
+pub fn parse_manifest(text: &str) -> Result<Manifest, TextError> {
     let sections = textio::parse_sections(text)?;
     let mut server = ServerOverrides::default();
     let mut jobs = Vec::new();
@@ -258,16 +258,6 @@ pub fn parse_manifest_full(text: &str) -> Result<Manifest, TextError> {
         return Err(TextError::new("manifest has no [job] sections"));
     }
     Ok(Manifest { server, jobs })
-}
-
-/// Parses a manifest's job specs, in document order (the historical
-/// entry point; server overrides, if any, are validated and dropped).
-///
-/// # Errors
-///
-/// See [`parse_manifest_full`].
-pub fn parse_manifest(text: &str) -> Result<Vec<JobSpec>, TextError> {
-    Ok(parse_manifest_full(text)?.jobs)
 }
 
 #[cfg(test)]
@@ -302,7 +292,7 @@ algorithm = gamma:compute
 model = ncf
 algorithm = cma
 ";
-        let jobs = parse_manifest(text).unwrap();
+        let jobs = parse_manifest(text).unwrap().jobs;
         assert_eq!(jobs.len(), 3);
         assert_eq!(jobs[0].name, "ncf-edge");
         assert_eq!(jobs[0].budget, 500);
@@ -331,7 +321,7 @@ eviction = lru
 [job]
 model = ncf
 ";
-        let manifest = parse_manifest_full(text).unwrap();
+        let manifest = parse_manifest(text).unwrap();
         let mut config = ServerConfig::default();
         manifest.server.apply(&mut config);
         assert_eq!(config.workers, 3);
@@ -348,7 +338,7 @@ model = ncf
             ("[server]\nquota = 9\n[job]\nmodel = ncf\n", "unknown key"),
             ("[job]\nmodel = ncf\n[server]\nworkers = 2\n", "precede"),
         ] {
-            let err = parse_manifest_full(text).unwrap_err();
+            let err = parse_manifest(text).unwrap_err();
             assert!(err.to_string().contains(needle), "{text:?} → {err}");
         }
     }
@@ -368,7 +358,7 @@ population = 24
 threads = 2
 checkpoint_every = 5
 ";
-        let spec = &parse_manifest(text).unwrap()[0];
+        let spec = &parse_manifest(text).unwrap().jobs[0];
         let rendered = render_job(spec).render();
         let sections = textio::parse_sections(&rendered).unwrap();
         let back = parse_job_section(&sections[0], 0).unwrap();
@@ -381,8 +371,9 @@ checkpoint_every = 5
 
     #[test]
     fn tenant_key_roundtrips_and_defaults() {
-        let jobs =
-            parse_manifest("[job]\nmodel = ncf\ntenant = alpha\n[job]\nmodel = dlrm\n").unwrap();
+        let jobs = parse_manifest("[job]\nmodel = ncf\ntenant = alpha\n[job]\nmodel = dlrm\n")
+            .unwrap()
+            .jobs;
         assert_eq!(jobs[0].tenant, "alpha");
         assert_eq!(jobs[1].tenant, "default");
         let rendered = render_job(&jobs[0]).render();

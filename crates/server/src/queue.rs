@@ -21,6 +21,7 @@ use crate::cachefile;
 use crate::job::{JobAlgorithm, JobReport, JobSpec};
 use crate::metrics::{MeteredEvalCache, MeteredGenomeMemo};
 use crate::snapshot::Snapshot;
+use crate::tenant::TenantSet;
 use digamma::{
     run_algorithm, scoped_workers, CoOptProblem, DiGamma, DiGammaConfig, EvalHooks, EvalMetrics,
     EvalTrace, Gamma, GammaConfig, SearchResult, SearchState, StepAction, StepObserver,
@@ -92,6 +93,12 @@ pub struct ServerConfig {
     /// episode, re-armed by the next improvement. `0` disables the
     /// stall detector.
     pub stall_after: u64,
+    /// The tenant roster the [`crate::JobRegistry`] admits against.
+    /// Empty (the default) is permissive single-user mode: any
+    /// well-formed tenant id registers on first sight with default
+    /// weight and no quotas. A non-empty roster is strict: jobs must
+    /// name a listed tenant, whose weight and quotas apply.
+    pub tenants: TenantSet,
 }
 
 impl Default for ServerConfig {
@@ -111,6 +118,7 @@ impl Default for ServerConfig {
             faults: Arc::new(FailSet::new()),
             analytics_capacity: 512,
             stall_after: 25,
+            tenants: TenantSet::default(),
         }
     }
 }

@@ -6,8 +6,12 @@
 //! their progress, and cancel mid-search. `JobRegistry` is the layer
 //! that turns the batch server into that service:
 //!
-//! * **Submit at runtime** — [`JobRegistry::submit`] enqueues a job onto
-//!   its tenant's queue; long-lived worker threads (plain
+//! * **Submit at runtime** — every submission is one [`SubmitRequest`]
+//!   (job specs plus optional tenant, trace context and idempotency
+//!   key; built from a spec, a `Vec` of specs, or
+//!   [`SubmitRequest::manifest`]) through the one entry point
+//!   [`JobRegistry::submit`], which admits the batch atomically onto
+//!   its tenants' queues; long-lived worker threads (plain
 //!   `std::thread::spawn`, since jobs outlive any caller scope) drain
 //!   the queues under a condvar.
 //! * **Share fairly** — each tenant ([`crate::TenantSpec`]) owns a FIFO
@@ -32,13 +36,15 @@
 //! * **Survive kills** — with a [`Journal`] attached, accepted jobs are
 //!   logged before they run and marked when they finish; a restarted
 //!   registry replays the journal and resubmits every unfinished job,
-//!   each of which resumes from its surviving checkpoint.
+//!   each of which resumes from its surviving checkpoint. Idempotency
+//!   keys are journaled with their batch, so a keyed retry answers the
+//!   original ids across restarts and during a drain.
 
 use crate::job::{JobReport, JobSpec};
 use crate::journal::Journal;
 use crate::queue::{AnalyticsUpdate, JobControl, JobProgress, SearchServer, ServerConfig};
 use crate::snapshot::compress_points;
-use crate::tenant::{valid_tenant_id, TenantSet, TenantSpec};
+use crate::tenant::{valid_tenant_id, TenantSpec};
 use crate::textio::TextError;
 use digamma_obs::{
     render_analytics_json, AnalyticsRing, CostPoint, LogLevel, OpCounters, SpanContext, SpanRecord,
@@ -91,18 +97,19 @@ impl std::fmt::Display for JobStatus {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubmitError {
     /// The spec or manifest itself is unacceptable (bad name, zero
-    /// threads, parse error, shutdown in progress).
+    /// threads, parse error, `[server]` overrides).
     Invalid(String),
     /// The spec names a tenant the service's roster does not list (only
-    /// possible when a non-empty [`TenantSet`] is configured).
+    /// possible when a non-empty [`ServerConfig::tenants`] roster is
+    /// configured).
     UnknownTenant(String),
     /// Accepting the batch would exceed the tenant's `max_queued` or
     /// `max_evals` quota; nothing was accepted.
     QuotaExceeded(String),
     /// The service cannot accept work *right now* — it is draining,
-    /// shutting down, or shedding load past its queue-depth watermark.
-    /// The wire layer answers 503 with `Retry-After`; nothing about the
-    /// request itself was wrong.
+    /// shutting down, shedding load past its queue-depth watermark, or
+    /// failed to journal the batch. The wire layer answers 503 with
+    /// `Retry-After`; nothing about the request itself was wrong.
     Unavailable(String),
 }
 
@@ -122,6 +129,65 @@ impl std::error::Error for SubmitError {}
 impl From<TextError> for SubmitError {
     fn from(e: TextError) -> SubmitError {
         SubmitError::Invalid(e.to_string())
+    }
+}
+
+/// One submission: a batch of job specs plus who sent it. A library
+/// call with one spec, a test batch and a `POST /jobs` manifest all
+/// reach the registry as a `SubmitRequest` through
+/// [`JobRegistry::submit`].
+#[derive(Debug, Clone, Default)]
+pub struct SubmitRequest {
+    /// The jobs, accepted or rejected as one batch.
+    pub specs: Vec<JobSpec>,
+    /// The authenticated submitter. `Some` pins every spec to this
+    /// tenant — a manifest cannot impersonate another tenant whatever
+    /// its `tenant` keys say — and scopes the idempotency key, so
+    /// tenants cannot collide with or probe each other's keys. `None`
+    /// keeps each spec's own tenant and scopes keys to `""`.
+    pub tenant: Option<String>,
+    /// The submitting request's span context: every accepted job's
+    /// lifecycle spans nest under it, so `/trace/{id}` walks from the
+    /// HTTP request through queue wait, claim, run, and generations in
+    /// one timeline. `None` roots a fresh trace at claim.
+    pub trace: Option<SpanContext>,
+    /// The first keyed submission journals its key alongside the batch;
+    /// a retry with the same key — after a daemon restart or during a
+    /// drain too — returns the original ids instead of creating
+    /// duplicate jobs.
+    pub idempotency_key: Option<String>,
+}
+
+impl SubmitRequest {
+    /// Parses a manifest into a request with no tenant, trace or key.
+    ///
+    /// # Errors
+    ///
+    /// [`SubmitError::Invalid`] on a parse error or a `[server]`
+    /// section (service knobs cannot be changed through the runtime
+    /// submit path).
+    pub fn manifest(text: &str) -> Result<SubmitRequest, SubmitError> {
+        let manifest = crate::manifest::parse_manifest(text)?;
+        if manifest.server != crate::manifest::ServerOverrides::default() {
+            return Err(SubmitError::Invalid(
+                "[server] overrides are not accepted at runtime (a live service's \
+                 workers/cache are fixed at startup; configure them via CLI flags)"
+                    .to_owned(),
+            ));
+        }
+        Ok(manifest.jobs.into())
+    }
+}
+
+impl From<Vec<JobSpec>> for SubmitRequest {
+    fn from(specs: Vec<JobSpec>) -> SubmitRequest {
+        SubmitRequest { specs, ..SubmitRequest::default() }
+    }
+}
+
+impl From<JobSpec> for SubmitRequest {
+    fn from(spec: JobSpec) -> SubmitRequest {
+        vec![spec].into()
     }
 }
 
@@ -457,7 +523,6 @@ struct Inner {
     server: SearchServer,
     workers: usize,
     journal: Option<Journal>,
-    tenants: TenantSet,
     state: Mutex<RegState>,
     cond: Condvar,
     /// When the registry started (uptime reference).
@@ -481,10 +546,19 @@ impl std::fmt::Debug for JobRegistry {
 }
 
 impl JobRegistry {
-    /// Starts a single-tenant (permissive) registry: every job runs
-    /// under whatever tenant id its spec carries, registered on first
-    /// sight with default weight and no quotas. Equivalent to
-    /// [`JobRegistry::start_with_tenants`] with an empty set.
+    /// Starts a registry: spins up `config.workers` worker threads and —
+    /// when `journal_path` is given — replays the journal, resubmitting
+    /// every job that never finished (each resumes from its snapshot
+    /// through the normal checkpoint path).
+    ///
+    /// An empty [`ServerConfig::tenants`] roster is permissive: every
+    /// job runs under whatever tenant id its spec carries, registered on
+    /// first sight with default weight and no quotas. A non-empty roster
+    /// makes admission strict: jobs must name a listed tenant, and each
+    /// tenant's weight and quotas apply. Journal replay stays lenient —
+    /// a journal written before a tenant left the roster still replays,
+    /// auto-registering the id — so a roster edit can never brick a
+    /// restart.
     ///
     /// # Errors
     ///
@@ -493,29 +567,6 @@ impl JobRegistry {
     pub fn start(
         config: ServerConfig,
         journal_path: Option<PathBuf>,
-    ) -> std::io::Result<JobRegistry> {
-        JobRegistry::start_with_tenants(config, journal_path, TenantSet::default())
-    }
-
-    /// Starts a registry: spins up `config.workers` worker threads and —
-    /// when `journal_path` is given — replays the journal, resubmitting
-    /// every job that never finished (each resumes from its snapshot
-    /// through the normal checkpoint path).
-    ///
-    /// A non-empty `tenants` roster makes admission strict: jobs must
-    /// name a listed tenant, and each tenant's weight and quotas apply.
-    /// Journal replay stays lenient — a journal written before a tenant
-    /// left the roster still replays, auto-registering the id — so a
-    /// roster edit can never brick a restart.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`std::io::Error`] when the journal exists but cannot be
-    /// read.
-    pub fn start_with_tenants(
-        config: ServerConfig,
-        journal_path: Option<PathBuf>,
-        tenants: TenantSet,
     ) -> std::io::Result<JobRegistry> {
         let workers = config.workers.max(1);
         // The journal consults the server's failpoint set, so one
@@ -536,7 +587,6 @@ impl JobRegistry {
             server: SearchServer::new(config),
             workers,
             journal,
-            tenants,
             state: Mutex::new(RegState { next_id, ..RegState::default() }),
             cond: Condvar::new(),
             started: Instant::now(),
@@ -578,7 +628,7 @@ impl JobRegistry {
             let mut state = inner.state.lock().expect("registry poisoned");
             // Seed the roster so weights and quotas apply from the
             // first claim and `/stats` lists every configured tenant.
-            for tspec in inner.tenants.iter() {
+            for tspec in inner.server.config().tenants.iter() {
                 state.tenants.insert(tspec.id.clone(), TenantSched::new(tspec.clone()));
                 state.rotation.push(tspec.id.clone());
             }
@@ -611,32 +661,15 @@ impl JobRegistry {
         &self.inner.server
     }
 
-    /// The configured tenant roster (empty in permissive mode). The
-    /// wire front-end reads tokens and auth policy from here.
-    pub fn tenants(&self) -> &TenantSet {
-        &self.inner.tenants
-    }
-
-    /// Submits one job; returns its id once it is queued (and journaled,
-    /// when a journal is attached).
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError::Invalid`] when another *live* (queued or running)
-    /// job already uses the name — names key checkpoint files, so two
-    /// live jobs sharing one would corrupt each other's snapshots —
-    /// when `threads` is zero or the tenant id is malformed, or when
-    /// the registry is shutting down. [`SubmitError::UnknownTenant`]
-    /// and [`SubmitError::QuotaExceeded`] per the configured roster.
-    pub fn submit(&self, spec: JobSpec) -> Result<JobId, SubmitError> {
-        Ok(self.submit_all(vec![spec])?[0])
-    }
-
-    /// Submits a batch of jobs **atomically**: every spec is validated
-    /// against live names (and against the rest of the batch), the
-    /// roster, and every quota before anything is journaled or
-    /// enqueued, so a rejected batch leaves no orphan jobs running
-    /// behind a client that saw an error.
+    /// Submits a batch of jobs **atomically**; returns their ids once
+    /// they are queued (and journaled, when a journal is attached).
+    /// Every spec is validated against live names (and against the rest
+    /// of the batch), the roster, and every quota before anything is
+    /// journaled or enqueued, so a rejected batch leaves no orphan jobs
+    /// running behind a client that saw an error. A request whose
+    /// idempotency key was already accepted answers the original ids
+    /// before any other check — even while draining or shedding: the
+    /// work was accepted, the client just never heard.
     ///
     /// Each accepted spec's `threads` is clamped to the worker count;
     /// the scheduler then keeps Σ running `threads` ≤ workers, so no
@@ -644,64 +677,37 @@ impl JobRegistry {
     ///
     /// # Errors
     ///
-    /// See [`JobRegistry::submit`]; on error, nothing was accepted.
-    pub fn submit_all(&self, specs: Vec<JobSpec>) -> Result<Vec<JobId>, SubmitError> {
-        self.submit_all_traced(specs, None)
-    }
-
-    /// [`JobRegistry::submit_all`] with the submitting request's span
-    /// context attached: every accepted job's lifecycle spans nest
-    /// under it, so `/trace/{id}` walks from the HTTP request through
-    /// queue wait, claim, run, and generations in one timeline.
-    ///
-    /// # Errors
-    ///
-    /// See [`JobRegistry::submit`]; on error, nothing was accepted.
-    pub fn submit_all_traced(
-        &self,
-        specs: Vec<JobSpec>,
-        trace: Option<SpanContext>,
-    ) -> Result<Vec<JobId>, SubmitError> {
-        self.submit_all_keyed(specs, trace, None)
-    }
-
-    /// [`JobRegistry::submit_all_traced`] with an optional idempotency
-    /// binding `(scope, key)`: the first keyed submission journals the
-    /// key alongside its batch; a retry with the same key — including
-    /// one that lands *after a daemon restart* — returns the original
-    /// ids instead of creating duplicate jobs. The scope is the
-    /// authenticated tenant (or `""` unauthenticated), so tenants
-    /// cannot collide with or probe each other's keys.
-    ///
-    /// # Errors
-    ///
-    /// See [`JobRegistry::submit`]; additionally
-    /// [`SubmitError::Unavailable`] while the registry drains, shuts
-    /// down, or sheds load past [`ServerConfig::shed_queue_depth`].
-    pub fn submit_all_keyed(
-        &self,
-        mut specs: Vec<JobSpec>,
-        trace: Option<SpanContext>,
-        idempotency: Option<(&str, &str)>,
-    ) -> Result<Vec<JobId>, SubmitError> {
+    /// Nothing was accepted on error. [`SubmitError::Invalid`] when
+    /// another *live* (queued or running) job already uses a name —
+    /// names key checkpoint files, so two live jobs sharing one would
+    /// corrupt each other's snapshots — or a name repeats within the
+    /// batch, `threads` is zero, or a tenant id is malformed.
+    /// [`SubmitError::UnknownTenant`] and [`SubmitError::QuotaExceeded`]
+    /// per [`ServerConfig::tenants`]. [`SubmitError::Unavailable`] while
+    /// the registry drains, shuts down, sheds load past
+    /// [`ServerConfig::shed_queue_depth`], or cannot append to its
+    /// journal.
+    pub fn submit(&self, request: impl Into<SubmitRequest>) -> Result<Vec<JobId>, SubmitError> {
+        let SubmitRequest { mut specs, tenant, trace, idempotency_key } = request.into();
         if specs.is_empty() {
             return Ok(Vec::new());
         }
+        if let Some(tenant) = &tenant {
+            for spec in &mut specs {
+                spec.tenant.clone_from(tenant);
+            }
+        }
+        let dedupe_key = idempotency_key.map(|key| (tenant.unwrap_or_default(), key));
         let workers = self.inner.workers;
+        let roster = &self.inner.server.config().tenants;
         let mut state = self.inner.state.lock().expect("registry poisoned");
+        if let Some(ids) = dedupe_key.as_ref().and_then(|key| state.idempotency.get(key)) {
+            return Ok(ids.clone());
+        }
         if state.shutdown || state.draining {
             return Err(SubmitError::Unavailable(
                 "service is draining or shutting down; retry later".to_owned(),
             ));
-        }
-        // A replayed key answers before anything else (even while
-        // shedding): the work was already accepted, the client just
-        // never heard.
-        let dedupe_key = idempotency.map(|(scope, key)| (scope.to_owned(), key.to_owned()));
-        if let Some(key) = &dedupe_key {
-            if let Some(ids) = state.idempotency.get(key) {
-                return Ok(ids.clone());
-            }
         }
         // Load shedding: past the watermark the healthy answer is a
         // fast 503 + Retry-After, not an ever-deeper queue.
@@ -755,7 +761,7 @@ impl JobRegistry {
                     spec.name, spec.tenant
                 )));
             }
-            if !self.inner.tenants.is_empty() && self.inner.tenants.get(&spec.tenant).is_none() {
+            if !roster.is_empty() && roster.get(&spec.tenant).is_none() {
                 return Err(SubmitError::UnknownTenant(format!(
                     "unknown tenant {:?} (job {:?})",
                     spec.tenant, spec.name
@@ -771,7 +777,7 @@ impl JobRegistry {
         }
         for (tid, &(count, budget)) in &per_tenant {
             let sched = state.tenants.get(*tid);
-            let Some(tspec) = sched.map(|s| &s.spec).or_else(|| self.inner.tenants.get(tid)) else {
+            let Some(tspec) = sched.map(|s| &s.spec).or_else(|| roster.get(tid)) else {
                 continue; // unlisted tenant in permissive mode: no quotas
             };
             if let Some(max) = tspec.max_queued {
@@ -795,12 +801,14 @@ impl JobRegistry {
         }
         let ids: Vec<JobId> = (0..specs.len() as JobId).map(|i| state.next_id + i).collect();
         // Journal the whole batch in one append before anything
-        // enqueues: an error accepts nothing.
+        // enqueues: an error accepts nothing. A failed append is the
+        // service's trouble, not the request's, so it is retryable.
         if let Some(journal) = &self.inner.journal {
             let batch: Vec<(JobId, &JobSpec)> = ids.iter().copied().zip(&specs).collect();
-            journal
-                .append_submitted_keyed(&batch, idempotency)
-                .map_err(|e| SubmitError::Invalid(format!("journal append failed: {e}")))?;
+            let key = dedupe_key.as_ref().map(|(scope, key)| (scope.as_str(), key.as_str()));
+            journal.append_submitted(&batch, key).map_err(|e| {
+                SubmitError::Unavailable(format!("journal append failed: {e}; retry later"))
+            })?;
         }
         state.next_id += specs.len() as JobId;
         let queued_ns = self.inner.server.tracer().now_ns();
@@ -820,83 +828,6 @@ impl JobRegistry {
         drop(state);
         self.inner.cond.notify_all();
         Ok(ids)
-    }
-
-    /// Parses a manifest and submits every job in it, atomically: a
-    /// parse error or any collision accepts nothing.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SubmitError`] from parsing, from a `[server]` section
-    /// (service knobs cannot be changed through the runtime submit
-    /// path), or from [`JobRegistry::submit_all`].
-    pub fn submit_manifest(&self, text: &str) -> Result<Vec<JobId>, SubmitError> {
-        self.submit_manifest_as(text, None)
-    }
-
-    /// [`JobRegistry::submit_manifest`] with the submitter's identity
-    /// pinned: when `tenant` is given (an authenticated wire client),
-    /// every job in the manifest runs under it — manifests cannot
-    /// impersonate another tenant no matter what their `tenant` keys
-    /// say.
-    ///
-    /// # Errors
-    ///
-    /// See [`JobRegistry::submit_manifest`].
-    pub fn submit_manifest_as(
-        &self,
-        text: &str,
-        tenant: Option<&str>,
-    ) -> Result<Vec<JobId>, SubmitError> {
-        self.submit_manifest_traced(text, tenant, None)
-    }
-
-    /// [`JobRegistry::submit_manifest_as`] with the submitting
-    /// request's span context attached (see
-    /// [`JobRegistry::submit_all_traced`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`JobRegistry::submit_manifest`].
-    pub fn submit_manifest_traced(
-        &self,
-        text: &str,
-        tenant: Option<&str>,
-        trace: Option<SpanContext>,
-    ) -> Result<Vec<JobId>, SubmitError> {
-        self.submit_manifest_keyed(text, tenant, trace, None)
-    }
-
-    /// [`JobRegistry::submit_manifest_traced`] with an optional
-    /// idempotency key, scoped to the authenticated tenant (see
-    /// [`JobRegistry::submit_all_keyed`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`JobRegistry::submit_manifest`].
-    pub fn submit_manifest_keyed(
-        &self,
-        text: &str,
-        tenant: Option<&str>,
-        trace: Option<SpanContext>,
-        idempotency_key: Option<&str>,
-    ) -> Result<Vec<JobId>, SubmitError> {
-        let manifest = crate::manifest::parse_manifest_full(text)?;
-        if manifest.server != crate::manifest::ServerOverrides::default() {
-            return Err(SubmitError::Invalid(
-                "[server] overrides are not accepted at runtime (a live service's \
-                 workers/cache are fixed at startup; configure them via CLI flags)"
-                    .to_owned(),
-            ));
-        }
-        let mut jobs = manifest.jobs;
-        if let Some(tenant) = tenant {
-            for job in &mut jobs {
-                job.tenant = tenant.to_owned();
-            }
-        }
-        let scope = tenant.unwrap_or("");
-        self.submit_all_keyed(jobs, trace, idempotency_key.map(|key| (scope, key)))
     }
 
     /// The trace id of a job's lifecycle spans, once one exists: set at
@@ -1594,6 +1525,7 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use crate::job::JobAlgorithm;
+    use crate::tenant::TenantSet;
     use digamma::Objective;
     use digamma_costmodel::Platform;
     use digamma_workload::zoo;
@@ -1612,6 +1544,14 @@ mod tests {
         s
     }
 
+    fn keyed(spec: JobSpec, tenant: &str, key: &str) -> SubmitRequest {
+        SubmitRequest {
+            tenant: Some(tenant.to_owned()),
+            idempotency_key: Some(key.to_owned()),
+            ..spec.into()
+        }
+    }
+
     fn wait_done(registry: &JobRegistry, id: JobId) -> JobView {
         for _ in 0..600 {
             let view = registry.job(id).expect("known job");
@@ -1628,7 +1568,7 @@ mod tests {
         let registry =
             JobRegistry::start(ServerConfig { workers: 1, ..ServerConfig::default() }, None)
                 .unwrap();
-        let id = registry.submit(spec("telemetry", 96)).unwrap();
+        let id = registry.submit(spec("telemetry", 96)).unwrap()[0];
         assert!(registry.analytics_json(999).is_none(), "unknown ids answer None");
         wait_done(&registry, id);
         let body = registry.analytics_json(id).expect("known job");
@@ -1670,8 +1610,9 @@ mod tests {
         assert!(tracer.enabled(), "tracing defaults on");
         let request = tracer.start_root("http.request");
         let request_ctx = request.context().expect("root context");
-        let id =
-            registry.submit_all_traced(vec![spec("traced", 96)], Some(request_ctx)).unwrap()[0];
+        let id = registry
+            .submit(SubmitRequest { trace: Some(request_ctx), ..spec("traced", 96).into() })
+            .unwrap()[0];
         assert_eq!(
             registry.trace_of(id),
             Some(request_ctx.trace),
@@ -1708,7 +1649,7 @@ mod tests {
         let registry =
             JobRegistry::start(ServerConfig { workers: 1, ..ServerConfig::default() }, None)
                 .unwrap();
-        let id = registry.submit(spec("plain", 96)).unwrap();
+        let id = registry.submit(spec("plain", 96)).unwrap()[0];
         wait_done(&registry, id);
         let trace = registry.trace_of(id).expect("claimed jobs always have a trace");
         let spans = registry.tracer().spans_for(trace);
@@ -1725,7 +1666,7 @@ mod tests {
             None,
         )
         .unwrap();
-        let id = registry.submit(spec("untraced", 96)).unwrap();
+        let id = registry.submit(spec("untraced", 96)).unwrap()[0];
         wait_done(&registry, id);
         assert!(!registry.tracer().enabled());
         assert_eq!(registry.trace_of(id), None);
@@ -1738,8 +1679,8 @@ mod tests {
         let registry =
             JobRegistry::start(ServerConfig { workers: 2, ..ServerConfig::default() }, None)
                 .unwrap();
-        let a = registry.submit(spec("a", 96)).unwrap();
-        let b = registry.submit(spec("b", 96)).unwrap();
+        let a = registry.submit(spec("a", 96)).unwrap()[0];
+        let b = registry.submit(spec("b", 96)).unwrap()[0];
         assert_ne!(a, b);
         let va = wait_done(&registry, a);
         let vb = wait_done(&registry, b);
@@ -1764,7 +1705,7 @@ mod tests {
         let registry =
             JobRegistry::start(ServerConfig { workers: 1, ..ServerConfig::default() }, None)
                 .unwrap();
-        let id = registry.submit(spec("ev", 80)).unwrap();
+        let id = registry.submit(spec("ev", 80)).unwrap()[0];
         let mut lines = Vec::new();
         let mut from = 0;
         loop {
@@ -1792,7 +1733,7 @@ mod tests {
             None,
         )
         .unwrap();
-        let id = registry.submit(spec("overshoot", 600_000)).unwrap();
+        let id = registry.submit(spec("overshoot", 600_000)).unwrap()[0];
         // Wait for at least one event so the stream is live but far
         // from sequence 10_000.
         let _ = registry.events(id, 0, Duration::from_secs(10));
@@ -1836,8 +1777,8 @@ mod tests {
         // generation so cancellation must find a snapshot to write.
         let mut long = spec("long", 1_000_000);
         long.checkpoint_every = Some(1);
-        let running = registry.submit(long).unwrap();
-        let queued = registry.submit(spec("queued", 96)).unwrap();
+        let running = registry.submit(long).unwrap()[0];
+        let queued = registry.submit(spec("queued", 96)).unwrap()[0];
         assert_eq!(registry.cancel(queued), Some(JobStatus::Cancelled));
         // Wait until the long job has actually stepped, then cancel it.
         let (_, _, done) = registry.events(running, 0, Duration::from_secs(10)).unwrap();
@@ -1863,9 +1804,9 @@ mod tests {
             JobRegistry::start(ServerConfig { workers: 1, ..ServerConfig::default() }, None)
                 .unwrap();
         // Hog the single worker so the rest stay queued.
-        let blocker = registry.submit(spec("blocker", 1_000_000)).unwrap();
+        let blocker = registry.submit(spec("blocker", 1_000_000)).unwrap()[0];
         let ids: Vec<JobId> =
-            (0..5).map(|i| registry.submit(spec(&format!("victim-{i}"), 96)).unwrap()).collect();
+            (0..5).map(|i| registry.submit(spec(&format!("victim-{i}"), 96)).unwrap()[0]).collect();
         // Give the worker a moment to claim the blocker.
         let _ = registry.events(blocker, 0, Duration::from_secs(10));
         assert_eq!(registry.stats().queued, 5);
@@ -1890,7 +1831,7 @@ mod tests {
                 .unwrap();
         let mut wide = spec("wide", 64);
         wide.threads = 64;
-        let id = registry.submit(wide).unwrap();
+        let id = registry.submit(wide).unwrap()[0];
         assert_eq!(
             registry.job(id).unwrap().spec.threads,
             2,
@@ -1916,7 +1857,7 @@ mod tests {
             None,
         )
         .unwrap();
-        let id = registry.submit(spec("ring", 160)).unwrap();
+        let id = registry.submit(spec("ring", 160)).unwrap()[0];
         wait_done(&registry, id);
         let (first_seq, lines, done) =
             registry.events(id, 0, Duration::from_millis(100)).expect("known job");
@@ -1943,7 +1884,7 @@ mod tests {
             JobRegistry::start(ServerConfig { workers: 1, ..ServerConfig::default() }, None)
                 .unwrap();
         // Long enough that it cannot finish between the two submits.
-        let id = registry.submit(spec("dup", 400_000)).unwrap();
+        let id = registry.submit(spec("dup", 400_000)).unwrap()[0];
         let err = registry.submit(spec("dup", 64)).unwrap_err();
         assert!(err.to_string().contains("dup"), "{err}");
         // Once the first is no longer live, the name is reusable.
@@ -1959,10 +1900,9 @@ mod tests {
             "[tenant]\nid = small\nmax_queued = 2\nmax_evals = 1000\n[tenant]\nid = big\n",
         )
         .unwrap();
-        let registry = JobRegistry::start_with_tenants(
-            ServerConfig { workers: 1, ..ServerConfig::default() },
+        let registry = JobRegistry::start(
+            ServerConfig { workers: 1, tenants: roster, ..ServerConfig::default() },
             None,
-            roster,
         )
         .unwrap();
         let as_tenant = |name: &str, budget: usize, tenant: &str| {
@@ -1971,9 +1911,9 @@ mod tests {
             s
         };
         // Hog the worker so "small" jobs stay queued.
-        let blocker = registry.submit(as_tenant("blocker", 1_000_000, "big")).unwrap();
+        let blocker = registry.submit(as_tenant("blocker", 1_000_000, "big")).unwrap()[0];
         let _ = registry.events(blocker, 0, Duration::from_secs(10));
-        let first = registry.submit(as_tenant("s1", 100, "small")).unwrap();
+        let first = registry.submit(as_tenant("s1", 100, "small")).unwrap()[0];
         registry.submit(as_tenant("s2", 100, "small")).unwrap();
         match registry.submit(as_tenant("s3", 100, "small")) {
             Err(SubmitError::QuotaExceeded(msg)) => assert!(msg.contains("max_queued"), "{msg}"),
@@ -2075,7 +2015,7 @@ mod tests {
         let registry =
             JobRegistry::start(ServerConfig { workers: 2, ..ServerConfig::default() }, None)
                 .unwrap();
-        let id = registry.submit(spec("observed", 96)).unwrap();
+        let id = registry.submit(spec("observed", 96)).unwrap()[0];
         wait_done(&registry, id);
         let text = registry.render_metrics();
         let samples = digamma_obs::parse_text(&text).expect("exposition must parse");
@@ -2116,7 +2056,7 @@ mod tests {
             None,
         )
         .unwrap();
-        let id = registry.submit(spec("dark", 64)).unwrap();
+        let id = registry.submit(spec("dark", 64)).unwrap()[0];
         wait_done(&registry, id);
         assert_eq!(registry.render_metrics(), "", "disabled registry must stay silent");
         registry.shutdown();
@@ -2143,7 +2083,7 @@ mod tests {
         .unwrap();
         let mut long = spec("revenant", 400_000);
         long.checkpoint_every = Some(1);
-        let id = registry.submit(long).unwrap();
+        let id = registry.submit(long).unwrap()[0];
         // Let it step at least once so a snapshot exists.
         let _ = registry.events(id, 0, Duration::from_secs(10));
         registry.shutdown();
@@ -2188,7 +2128,7 @@ mod tests {
         let config = ServerConfig { workers: 1, ..ServerConfig::default() };
         config.faults.configure("worker.eval=panic,once").unwrap();
         let registry = JobRegistry::start(config, None).unwrap();
-        let doomed = registry.submit(spec("doomed", 96)).unwrap();
+        let doomed = registry.submit(spec("doomed", 96)).unwrap()[0];
         let view = wait_done(&registry, doomed);
         assert_eq!(view.status, JobStatus::Failed);
         assert!(view.report.is_none(), "a panicked job has no report");
@@ -2196,7 +2136,7 @@ mod tests {
         assert!(done);
         assert_eq!(lines.last().unwrap(), "end status=failed");
         // The worker survived the panic: the next job runs to done.
-        let phoenix = registry.submit(spec("phoenix", 96)).unwrap();
+        let phoenix = registry.submit(spec("phoenix", 96)).unwrap()[0];
         assert_eq!(wait_done(&registry, phoenix).status, JobStatus::Done);
         let stats = registry.stats();
         assert_eq!(stats.failed, 1);
@@ -2230,7 +2170,7 @@ mod tests {
         let registry =
             JobRegistry::start(ServerConfig { workers: 1, ..ServerConfig::default() }, None)
                 .unwrap();
-        let id = registry.submit(cma("visible")).unwrap();
+        let id = registry.submit(cma("visible")).unwrap()[0];
         assert_eq!(wait_done(&registry, id).status, JobStatus::Done);
         let samples = digamma_obs::parse_text(&registry.render_metrics()).unwrap();
         let value = |name: &str| {
@@ -2251,7 +2191,7 @@ mod tests {
         let config = ServerConfig { workers: 1, ..ServerConfig::default() };
         config.faults.configure("worker.eval=panic,once").unwrap();
         let registry = JobRegistry::start(config, None).unwrap();
-        let doomed = registry.submit(cma("doomed")).unwrap();
+        let doomed = registry.submit(cma("doomed")).unwrap()[0];
         let view = wait_done(&registry, doomed);
         assert_eq!(view.status, JobStatus::Failed);
         assert!(view.report.is_none(), "a panicked job has no report");
@@ -2269,8 +2209,8 @@ mod tests {
         let registry =
             JobRegistry::start(ServerConfig { workers: 1, ..ServerConfig::default() }, None)
                 .unwrap();
-        let a = registry.submit(spec("drain-a", 96)).unwrap();
-        let b = registry.submit(spec("drain-b", 96)).unwrap();
+        let a = registry.submit(spec("drain-a", 96)).unwrap()[0];
+        let b = registry.submit(spec("drain-b", 96)).unwrap()[0];
         registry.drain(Duration::from_secs(60));
         assert_eq!(registry.job(a).unwrap().status, JobStatus::Done);
         assert_eq!(registry.job(b).unwrap().status, JobStatus::Done);
@@ -2288,7 +2228,7 @@ mod tests {
         )
         .unwrap();
         // Hog the worker so later submits stack up in the queue.
-        let blocker = registry.submit(spec("shed-blocker", 1_000_000)).unwrap();
+        let blocker = registry.submit(spec("shed-blocker", 1_000_000)).unwrap()[0];
         let _ = registry.events(blocker, 0, Duration::from_secs(10));
         registry.submit(spec("shed-1", 64)).unwrap();
         registry.submit(spec("shed-2", 64)).unwrap();
@@ -2313,18 +2253,14 @@ mod tests {
             Some(journal.clone()),
         )
         .unwrap();
-        let ids = registry
-            .submit_all_keyed(vec![spec("idem", 96)], None, Some(("default", "key-1")))
-            .unwrap();
+        let ids = registry.submit(keyed(spec("idem", 96), "default", "key-1")).unwrap();
         // A retry with the same key returns the same ids; without the
         // dedupe it would collide on the live name.
-        let again = registry
-            .submit_all_keyed(vec![spec("idem", 96)], None, Some(("default", "key-1")))
-            .unwrap();
+        let again = registry.submit(keyed(spec("idem", 96), "default", "key-1")).unwrap();
         assert_eq!(again, ids);
         // A different scope is a different key space: no dedupe, so the
         // live-name collision shows through.
-        match registry.submit_all_keyed(vec![spec("idem", 96)], None, Some(("other", "key-1"))) {
+        match registry.submit(keyed(spec("idem", 96), "other", "key-1")) {
             Err(SubmitError::Invalid(msg)) => assert!(msg.contains("idem"), "{msg}"),
             other => panic!("a different scope must not dedupe, got {other:?}"),
         }
@@ -2337,11 +2273,70 @@ mod tests {
             Some(journal),
         )
         .unwrap();
-        let after = reborn
-            .submit_all_keyed(vec![spec("idem", 96)], None, Some(("default", "key-1")))
-            .unwrap();
+        let after = reborn.submit(keyed(spec("idem", 96), "default", "key-1")).unwrap();
         assert_eq!(after, ids);
         reborn.shutdown();
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn journal_append_failure_is_retryable_and_accepts_nothing() {
+        let dir = std::env::temp_dir().join(format!("digamma-reg-jfail-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let journal = dir.join("jobs.journal");
+        let config = ServerConfig { workers: 1, ..ServerConfig::default() };
+        config.faults.configure("journal.append=err,once").unwrap();
+        let registry = JobRegistry::start(config, Some(journal.clone())).unwrap();
+        // The disk failed, not the request: a retryable 503, not a 400.
+        match registry.submit(keyed(spec("flaky", 96), "default", "k-flaky")) {
+            Err(SubmitError::Unavailable(msg)) => {
+                assert!(msg.contains("journal append failed"), "{msg}");
+            }
+            other => panic!("a failed journal append must be Unavailable, got {other:?}"),
+        }
+        assert!(registry.jobs().is_empty(), "nothing may be enqueued");
+        let replay = Journal::new(&journal).replay().unwrap();
+        assert!(replay.pending.is_empty() && replay.idempotency.is_empty(), "nothing journaled");
+        // The client's retry under the same key is a first submission.
+        let ids = registry.submit(keyed(spec("flaky", 96), "default", "k-flaky")).unwrap();
+        assert_eq!(ids, vec![1]);
+        assert_eq!(wait_done(&registry, 1).status, JobStatus::Done);
+        registry.shutdown();
+        let replay = Journal::new(&journal).replay().unwrap();
+        assert_eq!(replay.idempotency, vec![("default".into(), "k-flaky".into(), vec![1])]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn keyed_retries_answer_during_a_drain_while_new_work_is_refused() {
+        let registry = Arc::new(
+            JobRegistry::start(ServerConfig { workers: 1, ..ServerConfig::default() }, None)
+                .unwrap(),
+        );
+        let ids = registry.submit(keyed(spec("landed", 1_000_000), "default", "k-drain")).unwrap();
+        // Wait until the job runs, so the drain has work to wait on.
+        let _ = registry.events(ids[0], 0, Duration::from_secs(10));
+        let drainer = {
+            let registry = Arc::clone(&registry);
+            std::thread::spawn(move || registry.drain(Duration::from_secs(60)))
+        };
+        while !registry.draining() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // The submit landed but its response was lost: the retry must
+        // hear the original ids, not a 503 until its retries run out.
+        let again = registry.submit(keyed(spec("landed", 1_000_000), "default", "k-drain"));
+        assert_eq!(again, Ok(ids.clone()));
+        match registry.submit(spec("late", 64)) {
+            Err(SubmitError::Unavailable(msg)) => assert!(msg.contains("draining"), "{msg}"),
+            other => panic!("new work during a drain must be Unavailable, got {other:?}"),
+        }
+        match registry.submit(keyed(spec("late", 64), "default", "k-new")) {
+            Err(SubmitError::Unavailable(_)) => {}
+            other => panic!("an unseen key during a drain must be Unavailable, got {other:?}"),
+        }
+        registry.cancel(ids[0]);
+        drainer.join().unwrap();
     }
 }

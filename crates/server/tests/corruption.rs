@@ -27,9 +27,9 @@ fn spec(name: &str, budget: usize) -> JobSpec {
 fn write_reference_journal(path: &std::path::Path) {
     let journal = Journal::new(path);
     let (alpha, beta) = (spec("alpha", 100), spec("beta", 200));
-    journal.append_submitted_keyed(&[(1, &alpha), (2, &beta)], Some(("acme", "k-chaos"))).unwrap();
+    journal.append_submitted(&[(1, &alpha), (2, &beta)], Some(("acme", "k-chaos"))).unwrap();
     journal.append_finished(1, JobStatus::Done).unwrap();
-    journal.append_submitted(3, &spec("gamma", 300)).unwrap();
+    journal.append_submitted(&[(3, &spec("gamma", 300))], None).unwrap();
 }
 
 /// A reference snapshot with a real population, rendered to text.
