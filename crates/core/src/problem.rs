@@ -38,17 +38,19 @@ pub struct EvalMetrics {
     eval_seconds: Histogram,
     batch_seconds: Histogram,
     dedup_skipped: Counter,
-    memo_hits: Counter,
-    memo_misses: Counter,
     sample: SampleTick,
 }
 
 impl EvalMetrics {
     /// Registers (or re-resolves) the eval-path metric family for one
     /// tenant: `digamma_evals_total`, `digamma_eval_seconds` (sampled
-    /// 1-in-64), `digamma_eval_batch_seconds`,
-    /// `digamma_eval_dedup_skipped_total`, and
-    /// `digamma_genome_memo_probes_total{result=...}`.
+    /// 1-in-64), `digamma_eval_batch_seconds`, and
+    /// `digamma_eval_dedup_skipped_total`. Cache traffic is not counted
+    /// here: every probe passes through the attached [`EvalCache`] /
+    /// [`GenomeMemo`], so the memo implementation meters its own probes
+    /// (the server's per-job cache views feed
+    /// `digamma_cache_probes_total` and
+    /// `digamma_genome_memo_probes_total`).
     #[must_use]
     pub fn for_tenant(registry: &MetricsRegistry, tenant: &str) -> EvalMetrics {
         let t = [("tenant", tenant)];
@@ -75,16 +77,6 @@ impl EvalMetrics {
                 "digamma_eval_dedup_skipped_total",
                 "Identical (layer, mapping) evaluations skipped by batch-local dedupe.",
                 &t,
-            ),
-            memo_hits: registry.counter(
-                "digamma_genome_memo_probes_total",
-                "Whole-genome memo probes by result.",
-                &[("tenant", tenant), ("result", "hit")],
-            ),
-            memo_misses: registry.counter(
-                "digamma_genome_memo_probes_total",
-                "Whole-genome memo probes by result.",
-                &[("tenant", tenant), ("result", "miss")],
             ),
             sample: SampleTick::new(EVAL_LATENCY_SAMPLE_EVERY),
         }
@@ -527,10 +519,6 @@ impl CoOptProblem {
             let (fanouts, mappings) = self.decode_effective(genome);
             misses.push(Miss { index, memo_key, fanouts, mappings });
             out.push(None);
-        }
-        if let (Some(m), true) = (&hooks.metrics, self.genome_memo.is_some()) {
-            m.memo_hits.add((genomes.len() - misses.len()) as u64);
-            m.memo_misses.add(misses.len() as u64);
         }
         let distinct =
             if misses.is_empty() { 0 } else { self.evaluate_misses(&misses, threads, &mut out) };

@@ -1,9 +1,11 @@
 //! `/metrics` over real sockets: the exposition parses, counters move,
-//! label escaping survives hostile configuration values, and tenant
-//! labels appear only for tenants that actually did work.
+//! label escaping survives hostile configuration values, tenant labels
+//! appear only for tenants that actually did work, and every `/stats`
+//! tenant counter equals the series that counts the same events.
 
 use digamma_net::{client, NetServer, ShutdownHandle};
 use digamma_obs::parse_text;
+use digamma_server::textio::{parse_sections, Section};
 use digamma_server::{JobRegistry, ServerConfig, TenantSet};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -59,6 +61,38 @@ fn small_job(name: &str, tenant: Option<&str>) -> String {
 fn series_total(samples: &[digamma_obs::Sample], name: &str) -> f64 {
     samples.iter().filter(|s| s.name == name).map(|s| s.value).sum()
 }
+
+fn submitted_id(accepted: &str) -> u64 {
+    accepted.lines().find_map(|l| l.strip_prefix("id = ")?.trim().parse().ok()).unwrap()
+}
+
+/// The `[tenant <id>]` section of a `/stats` body.
+fn tenant_section(stats: &str, tenant: &str) -> Section {
+    parse_sections(stats)
+        .unwrap()
+        .into_iter()
+        .find(|s| s.name == format!("tenant {tenant}"))
+        .unwrap_or_else(|| panic!("no [tenant {tenant}] in:\n{stats}"))
+}
+
+fn field(section: &Section, key: &str) -> u64 {
+    section.get(key).and_then(|v| v.parse().ok()).unwrap_or_else(|| panic!("no {key}"))
+}
+
+/// Labels (besides `tenant`) that pick one series out of a family.
+type Labels = &'static [(&'static str, &'static str)];
+
+/// Every `/stats` tenant field that has a `/metrics` series, with the
+/// series that counts the same events.
+const LEDGER_SERIES: [(&str, &str, Labels); 7] = [
+    ("done", "digamma_jobs_completed_total", &[("status", "done")]),
+    ("cancelled", "digamma_jobs_completed_total", &[("status", "cancelled")]),
+    ("failed", "digamma_jobs_completed_total", &[("status", "panicked")]),
+    ("cache_hits", "digamma_cache_probes_total", &[("cache", "fitness"), ("result", "hit")]),
+    ("cache_misses", "digamma_cache_probes_total", &[("cache", "fitness"), ("result", "miss")]),
+    ("genome_hits", "digamma_genome_memo_probes_total", &[("result", "hit")]),
+    ("genome_misses", "digamma_genome_memo_probes_total", &[("result", "miss")]),
+];
 
 #[test]
 fn scrape_parses_and_request_counters_increase_across_submits() {
@@ -198,4 +232,57 @@ fn no_metrics_mode_serves_an_empty_exposition() {
         accepted.lines().find_map(|l| l.strip_prefix("id = ")?.trim().parse().ok()).unwrap();
     service.wait_status(id, "done", None);
     assert_eq!(service.scrape(None), "", "disabled metrics must render nothing");
+}
+
+#[test]
+fn stats_tenant_counters_equal_their_metrics_series() {
+    // `parked` may never run a job, so its submission stays queued
+    // until it is cancelled.
+    let roster =
+        TenantSet::parse("[tenant]\nid = alpha\n\n[tenant]\nid = parked\nmax_running = 0\n")
+            .unwrap();
+    let service = Service::start(ServerConfig { workers: 1, ..ServerConfig::default() }, roster);
+    let finished = submitted_id(
+        &client::post(&service.addr, "/jobs", Some(&small_job("finished", Some("alpha")))).unwrap(),
+    );
+    service.wait_status(finished, "done", None);
+    let parked = submitted_id(
+        &client::post(&service.addr, "/jobs", Some(&small_job("parked", Some("parked")))).unwrap(),
+    );
+    service.wait_status(parked, "queued", None);
+    client::post(&service.addr, &format!("/jobs/{parked}/cancel"), None).unwrap();
+    service.wait_status(parked, "cancelled", None);
+
+    let stats = client::get(&service.addr, "/stats").unwrap();
+    let samples = parse_text(&service.scrape(None)).unwrap();
+    for tenant in ["alpha", "parked"] {
+        let section = tenant_section(&stats, tenant);
+        for (key, name, labels) in LEDGER_SERIES {
+            let series = samples
+                .iter()
+                .find(|s| {
+                    s.name == name
+                        && s.label("tenant") == Some(tenant)
+                        && labels.iter().all(|&(k, v)| s.label(k) == Some(v))
+                })
+                .map_or(0, |s| s.value as u64);
+            assert_eq!(field(&section, key), series, "tenant {tenant} `{key}` vs {name}");
+        }
+    }
+    let alpha = tenant_section(&stats, "alpha");
+    assert_eq!(field(&alpha, "done"), 1);
+    assert!(field(&alpha, "cache_misses") > 0 && field(&alpha, "genome_misses") > 0);
+    assert_eq!(field(&tenant_section(&stats, "parked"), "cancelled"), 1);
+
+    // With the registry off, the ledger still counts: `/stats` moves
+    // while `/metrics` stays empty.
+    let config = ServerConfig { workers: 1, metrics_enabled: false, ..ServerConfig::default() };
+    let dark = Service::start(config, TenantSet::default());
+    let id =
+        submitted_id(&client::post(&dark.addr, "/jobs", Some(&small_job("dark", None))).unwrap());
+    dark.wait_status(id, "done", None);
+    let section = tenant_section(&client::get(&dark.addr, "/stats").unwrap(), "default");
+    assert_eq!(field(&section, "done"), 1);
+    assert!(field(&section, "cache_misses") > 0 && field(&section, "genome_misses") > 0);
+    assert_eq!(dark.scrape(None), "");
 }

@@ -163,6 +163,144 @@ fn stats_report_queue_depth_workers_and_cache() {
     assert!(body.contains("genome_hits = "), "{body}");
 }
 
+/// `(section name, keys in order)` of a section-format body.
+fn layout(body: &str) -> Vec<(String, Vec<String>)> {
+    digamma_server::textio::parse_sections(body)
+        .unwrap()
+        .into_iter()
+        .map(|s| (s.name, s.entries.into_iter().map(|(k, _)| k).collect()))
+        .collect()
+}
+
+fn owned(layout: &[(&str, &[&str])]) -> Vec<(String, Vec<String>)> {
+    layout
+        .iter()
+        .map(|(name, keys)| (name.to_string(), keys.iter().map(|k| k.to_string()).collect()))
+        .collect()
+}
+
+#[test]
+fn stats_and_job_bodies_keep_their_section_and_key_order() {
+    let service = Service::start(1, None);
+    let id = service.submit(&small_job("layout", 120))[0];
+    service.wait_status(id, "done");
+
+    let stats = client::get(&service.addr, "/stats").unwrap();
+    let expected: &[(&str, &[&str])] = &[
+        (
+            "stats",
+            &[
+                "workers",
+                "busy_workers",
+                "running_threads",
+                "queue_depth",
+                "running",
+                "done",
+                "cancelled",
+                "failed",
+            ],
+        ),
+        (
+            "analytics",
+            &[
+                "stalled",
+                "elite",
+                "crossover",
+                "mutate_map",
+                "mutate_hw",
+                "grow_age",
+                "immigrant",
+                "hw_forced",
+            ],
+        ),
+        ("process", &["start_unix", "uptime_seconds", "journal_replayed", "workers"]),
+        (
+            "tenant default",
+            &[
+                "weight",
+                "queued",
+                "running",
+                "done",
+                "cancelled",
+                "failed",
+                "evals_submitted",
+                "evals_consumed",
+                "cache_hits",
+                "cache_misses",
+                "cache_insertions",
+                "genome_hits",
+                "genome_misses",
+                "genome_insertions",
+            ],
+        ),
+        (
+            "cache",
+            &[
+                "entries",
+                "capacity",
+                "eviction",
+                "hits",
+                "misses",
+                "hit_rate",
+                "insertions",
+                "evictions",
+            ],
+        ),
+        (
+            "genome_cache",
+            &["entries", "capacity", "hits", "misses", "hit_rate", "insertions", "evictions"],
+        ),
+    ];
+    assert_eq!(layout(&stats), owned(expected), "{stats}");
+
+    let job = client::get(&service.addr, &format!("/jobs/{id}")).unwrap();
+    let expected: &[(&str, &[&str])] = &[
+        (
+            "job",
+            &[
+                "id",
+                "name",
+                "tenant",
+                "status",
+                "model",
+                "platform",
+                "objective",
+                "algorithm",
+                "budget",
+                "seed",
+                "generation",
+                "samples",
+                "best_cost",
+            ],
+        ),
+        (
+            "report",
+            &[
+                "samples",
+                "generations",
+                "cancelled",
+                "best_cost",
+                "best_latency_cycles",
+                "best_energy_pj",
+                "best_area_um2",
+                "best_genome",
+                "cache_hits",
+                "cache_misses",
+                "cache_insertions",
+                "genome_hits",
+                "genome_misses",
+                "genome_insertions",
+                "dedup_skipped",
+                "wall_ms",
+                "queue_wait_ms",
+                "eval_ms",
+                "checkpoint_ms",
+            ],
+        ),
+    ];
+    assert_eq!(layout(&job), owned(expected), "{job}");
+}
+
 #[test]
 fn protocol_errors_are_4xx_not_hangs() {
     let service = Service::start(1, None);

@@ -76,17 +76,14 @@ impl MetricKind {
 }
 
 /// A monotonically increasing counter handle. Cloning is cheap and all
-/// clones update the same cell.
-#[derive(Debug, Clone)]
+/// clones update the same cell. `Counter::default()` is a detached
+/// cell: it counts, but no registry renders it.
+#[derive(Debug, Clone, Default)]
 pub struct Counter {
     cell: Arc<AtomicU64>,
 }
 
 impl Counter {
-    fn detached() -> Counter {
-        Counter { cell: Arc::new(AtomicU64::new(0)) }
-    }
-
     /// Adds one.
     pub fn inc(&self) {
         self.cell.fetch_add(1, Ordering::Relaxed);
@@ -380,7 +377,7 @@ impl MetricsRegistry {
         labels: &[(&'static str, &str)],
     ) -> Counter {
         if !self.enabled {
-            return Counter::detached();
+            return Counter::default();
         }
         match self.intern(name, help, labels, MetricKind::Counter, None) {
             Cell::Counter(c) => c,
@@ -488,7 +485,7 @@ impl MetricsRegistry {
         let mut map = shard.lock().expect("metric shard poisoned");
         map.entry(key)
             .or_insert_with(|| match kind {
-                MetricKind::Counter => Cell::Counter(Counter::detached()),
+                MetricKind::Counter => Cell::Counter(Counter::default()),
                 MetricKind::Gauge => Cell::Gauge(Gauge::detached()),
                 MetricKind::Histogram => Cell::Histogram(Histogram::with_bounds(
                     family_bounds.expect("histogram family without bounds"),

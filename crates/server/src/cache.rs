@@ -26,15 +26,18 @@
 //!   through churn. `digamma_bench::cachebench` records the measured
 //!   difference on a long multi-model batch.
 //! * **Counted** — hits, misses, insertions, and evictions are atomic
-//!   counters; [`JobCacheView`] / [`JobGenomeMemoView`] layer per-job
-//!   counters over a shared cache so every job reports its own reuse.
+//!   counters. A [`JobCacheView`] fronts a shared cache for one job and
+//!   counts each probe once into the job's report and its tenant's
+//!   [`LayerMeters`], the cells `/stats` and `/metrics` both read.
 
 use digamma::{DesignEvaluation, EvalCache, GenomeMemo};
 use digamma_costmodel::CostReport;
+use digamma_obs::{Counter, Histogram, MetricsRegistry, SampleTick, DEFAULT_LATENCY_BUCKETS};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// How a shard evicts once it exceeds its capacity share.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -396,116 +399,186 @@ impl GenomeMemo for ShardedGenomeMemo {
     }
 }
 
-/// A per-job window onto a shared [`ShardedFitnessCache`].
-///
-/// Lookups and stores delegate to the shared cache, while hit/miss
-/// counters accumulate locally — so concurrent jobs each report their
-/// own reuse even though they share one memo. (Evictions are a property
-/// of the shared cache and are reported there.)
-#[derive(Debug)]
-pub struct JobCacheView {
-    shared: Arc<ShardedFitnessCache>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    insertions: AtomicU64,
+/// Which shared cache a [`JobCacheView`] fronts; names its probe
+/// series.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum CacheLayer {
+    /// The per-layer [`ShardedFitnessCache`].
+    Fitness,
+    /// The whole-genome [`ShardedGenomeMemo`].
+    Genome,
 }
 
-impl JobCacheView {
-    /// Creates a view over `shared` with zeroed counters.
-    pub fn new(shared: Arc<ShardedFitnessCache>) -> JobCacheView {
-        JobCacheView {
-            shared,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
+/// Probe latency is sampled 1-in-16: a sharded-map probe is tens of
+/// nanoseconds, so timing every one would cost more than the probe.
+const PROBE_LATENCY_SAMPLE_EVERY: u64 = 16;
+
+/// Hit, miss, and store counts through one cache layer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) struct ProbeCounts {
+    pub(crate) hits: u64,
+    pub(crate) misses: u64,
+    /// Store calls. Counts *attempts* (the shared cache may coalesce a
+    /// racing duplicate): how much cache space the work demanded.
+    pub(crate) stores: u64,
+}
+
+/// Hit, miss, and store counters for traffic through one cache layer.
+#[derive(Debug, Default)]
+struct ProbeCells {
+    hits: Counter,
+    misses: Counter,
+    stores: Counter,
+}
+
+impl ProbeCells {
+    fn count_probe(&self, hit: bool) {
+        if hit {
+            self.hits.inc();
+        } else {
+            self.misses.inc();
         }
     }
 
-    /// Hits observed through this view.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Misses observed through this view.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Store calls issued through this view. Counts *attempts* (the
-    /// shared cache may coalesce a racing duplicate), which is the right
-    /// attribution for per-tenant partitioning: it measures how much
-    /// cache space this job's work demanded.
-    pub fn insertions(&self) -> u64 {
-        self.insertions.load(Ordering::Relaxed)
+    fn counts(&self) -> ProbeCounts {
+        ProbeCounts {
+            hits: self.hits.value(),
+            misses: self.misses.value(),
+            stores: self.stores.value(),
+        }
     }
 }
 
-impl EvalCache for JobCacheView {
-    fn lookup(&self, key: u64) -> Option<Arc<CostReport>> {
-        let found = self.shared.lookup(key);
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
+/// One tenant's traffic through one cache layer: hits and misses are
+/// the tenant's `/metrics` probe series (detached cells under a
+/// disabled registry, so they keep counting); stores have no series.
+#[derive(Debug)]
+pub(crate) struct LayerMeters {
+    cells: ProbeCells,
+    /// `digamma_cache_probe_seconds{cache}`: one server-wide series per
+    /// layer, shared by every tenant.
+    probe_seconds: Histogram,
+}
+
+impl LayerMeters {
+    /// Registers `tenant`'s probe series for `layer`:
+    /// `digamma_cache_probes_total{cache="fitness",result,tenant}` or
+    /// `digamma_genome_memo_probes_total{result,tenant}`, plus the
+    /// layer's `digamma_cache_probe_seconds{cache}`.
+    pub(crate) fn new(registry: &MetricsRegistry, tenant: &str, layer: CacheLayer) -> LayerMeters {
+        let (cache, name, help) = match layer {
+            CacheLayer::Fitness => (
+                "fitness",
+                "digamma_cache_probes_total",
+                "Cache probes by cache layer, result, and tenant.",
+            ),
+            CacheLayer::Genome => (
+                "genome",
+                "digamma_genome_memo_probes_total",
+                "Whole-genome memo probes by result.",
+            ),
         };
+        let probes = |result| {
+            let mut labels = vec![("result", result), ("tenant", tenant)];
+            if layer == CacheLayer::Fitness {
+                labels.push(("cache", cache));
+            }
+            registry.counter(name, help, &labels)
+        };
+        LayerMeters {
+            cells: ProbeCells {
+                hits: probes("hit"),
+                misses: probes("miss"),
+                stores: Counter::default(),
+            },
+            probe_seconds: registry.histogram(
+                "digamma_cache_probe_seconds",
+                "Cache probe latency by cache layer, sampled 1 in 16 probes.",
+                &[("cache", cache)],
+                DEFAULT_LATENCY_BUCKETS,
+            ),
+        }
+    }
+
+    /// The tenant's counts so far.
+    pub(crate) fn counts(&self) -> ProbeCounts {
+        self.cells.counts()
+    }
+}
+
+/// A job's window onto a shared cache `C` ([`ShardedFitnessCache`] or
+/// [`ShardedGenomeMemo`]) — the only layer between the job's problem
+/// and the cache.
+///
+/// Lookups and stores delegate to the shared cache. Each probe is
+/// counted once per ledger: the job's own counters (its report's
+/// reuse, even though concurrent jobs share one memo) and its tenant's
+/// [`LayerMeters`] (`/stats` and `/metrics`). Every 16th probe is
+/// timed into the layer's probe-latency histogram. (Evictions are a
+/// property of the shared cache and are reported there.)
+#[derive(Debug)]
+pub(crate) struct JobCacheView<C> {
+    shared: Arc<C>,
+    job: ProbeCells,
+    tenant: Arc<LayerMeters>,
+    sample: SampleTick,
+}
+
+impl<C> JobCacheView<C> {
+    /// A view over `shared` with zeroed job counters, charging probes to
+    /// `tenant`.
+    pub(crate) fn new(shared: Arc<C>, tenant: Arc<LayerMeters>) -> JobCacheView<C> {
+        JobCacheView {
+            shared,
+            job: ProbeCells::default(),
+            tenant,
+            sample: SampleTick::new(PROBE_LATENCY_SAMPLE_EVERY),
+        }
+    }
+
+    /// The job's counts so far.
+    pub(crate) fn counts(&self) -> ProbeCounts {
+        self.job.counts()
+    }
+
+    fn probe<V>(&self, lookup: impl FnOnce(&C) -> Option<V>) -> Option<V> {
+        let found = if self.sample.due() {
+            let started = Instant::now();
+            let found = lookup(&self.shared);
+            self.tenant.probe_seconds.observe_duration(started.elapsed());
+            found
+        } else {
+            lookup(&self.shared)
+        };
+        self.job.count_probe(found.is_some());
+        self.tenant.cells.count_probe(found.is_some());
         found
     }
 
+    fn count_store(&self) {
+        self.job.stores.inc();
+        self.tenant.cells.stores.inc();
+    }
+}
+
+impl EvalCache for JobCacheView<ShardedFitnessCache> {
+    fn lookup(&self, key: u64) -> Option<Arc<CostReport>> {
+        self.probe(|shared| shared.lookup(key))
+    }
+
     fn store(&self, key: u64, report: &Arc<CostReport>) {
-        self.insertions.fetch_add(1, Ordering::Relaxed);
+        self.count_store();
         self.shared.store(key, report);
     }
 }
 
-/// A per-job window onto a shared [`ShardedGenomeMemo`] — the genome
-/// memo's counterpart of [`JobCacheView`].
-#[derive(Debug)]
-pub struct JobGenomeMemoView {
-    shared: Arc<ShardedGenomeMemo>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    insertions: AtomicU64,
-}
-
-impl JobGenomeMemoView {
-    /// Creates a view over `shared` with zeroed counters.
-    pub fn new(shared: Arc<ShardedGenomeMemo>) -> JobGenomeMemoView {
-        JobGenomeMemoView {
-            shared,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
-        }
-    }
-
-    /// Whole-genome hits observed through this view.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Whole-genome misses observed through this view.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Store calls issued through this view (see
-    /// [`JobCacheView::insertions`]).
-    pub fn insertions(&self) -> u64 {
-        self.insertions.load(Ordering::Relaxed)
-    }
-}
-
-impl GenomeMemo for JobGenomeMemoView {
+impl GenomeMemo for JobCacheView<ShardedGenomeMemo> {
     fn lookup(&self, key: u64) -> Option<Arc<DesignEvaluation>> {
-        let found = self.shared.lookup(key);
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
+        self.probe(|shared| shared.lookup(key))
     }
 
     fn store(&self, key: u64, evaluation: &Arc<DesignEvaluation>) {
-        self.insertions.fetch_add(1, Ordering::Relaxed);
+        self.count_store();
         self.shared.store(key, evaluation);
     }
 }
@@ -612,19 +685,89 @@ mod tests {
         assert_eq!(cache.stats().insertions, 1);
     }
 
+    fn fitness_view(
+        shared: &Arc<ShardedFitnessCache>,
+        tenant: &Arc<LayerMeters>,
+    ) -> JobCacheView<ShardedFitnessCache> {
+        JobCacheView::new(Arc::clone(shared), Arc::clone(tenant))
+    }
+
     #[test]
     fn job_views_count_independently() {
+        let registry = MetricsRegistry::new();
+        let tenant = Arc::new(LayerMeters::new(&registry, "t", CacheLayer::Fitness));
         let shared = Arc::new(ShardedFitnessCache::new(100));
-        let a = JobCacheView::new(Arc::clone(&shared));
-        let b = JobCacheView::new(Arc::clone(&shared));
+        let a = fitness_view(&shared, &tenant);
+        let b = fitness_view(&shared, &tenant);
         let (key, report) = report_for(8, 4);
         assert!(a.lookup(key).is_none());
         a.store(key, &report);
         assert!(a.lookup(key).is_some());
         assert!(b.lookup(key).is_some(), "views share the underlying memo");
-        assert_eq!((a.hits(), a.misses()), (1, 1));
-        assert_eq!((b.hits(), b.misses()), (1, 0));
+        assert_eq!(a.counts(), ProbeCounts { hits: 1, misses: 1, stores: 1 });
+        assert_eq!(b.counts(), ProbeCounts { hits: 1, misses: 0, stores: 0 });
+        assert_eq!(tenant.counts(), ProbeCounts { hits: 2, misses: 1, stores: 1 });
         assert_eq!(shared.stats().hits, 2);
+    }
+
+    #[test]
+    fn metered_cache_counts_hits_and_misses_and_delegates() {
+        let registry = MetricsRegistry::new();
+        let tenant = Arc::new(LayerMeters::new(&registry, "t", CacheLayer::Fitness));
+        let shared = Arc::new(ShardedFitnessCache::new(100));
+        let view = fitness_view(&shared, &tenant);
+        let (key, report) = report_for(8, 4);
+        assert!(view.lookup(key).is_none());
+        view.store(key, &report);
+        assert!(view.lookup(key).is_some(), "store must delegate to the shared cache");
+        assert!(shared.lookup(key).is_some());
+        assert_eq!(view.counts(), ProbeCounts { hits: 1, misses: 1, stores: 1 });
+        assert_eq!(tenant.counts(), view.counts());
+        let text = registry.render();
+        for series in [
+            "digamma_cache_probes_total{cache=\"fitness\",result=\"hit\",tenant=\"t\"} 1",
+            "digamma_cache_probes_total{cache=\"fitness\",result=\"miss\",tenant=\"t\"} 1",
+            "digamma_cache_probe_seconds_count{cache=\"fitness\"}",
+        ] {
+            assert!(text.contains(series), "missing {series} in:\n{text}");
+        }
+    }
+
+    #[test]
+    fn metered_genome_memo_counts_hits_and_misses_and_delegates() {
+        let problem = CoOptProblem::new(zoo::ncf(), Platform::edge(), Objective::Latency);
+        let mut rng = {
+            use rand::SeedableRng;
+            rand::rngs::SmallRng::seed_from_u64(5)
+        };
+        let genome = digamma_encoding::Genome::random(
+            &mut rng,
+            problem.unique_layers(),
+            problem.platform(),
+            2,
+        );
+        let key = problem.genome_key(&genome);
+        let evaluation = Arc::new(problem.evaluate(&genome));
+
+        let registry = MetricsRegistry::new();
+        let tenant = Arc::new(LayerMeters::new(&registry, "t", CacheLayer::Genome));
+        let shared = Arc::new(ShardedGenomeMemo::new(64));
+        let view = JobCacheView::new(Arc::clone(&shared), Arc::clone(&tenant));
+        assert!(view.lookup(key).is_none());
+        view.store(key, &evaluation);
+        assert!(view.lookup(key).is_some(), "store must delegate to the shared memo");
+        assert!(shared.lookup(key).is_some());
+        assert_eq!(view.counts(), ProbeCounts { hits: 1, misses: 1, stores: 1 });
+        assert_eq!(tenant.counts(), view.counts());
+        let text = registry.render();
+        for series in [
+            "digamma_genome_memo_probes_total{result=\"hit\",tenant=\"t\"} 1",
+            "digamma_genome_memo_probes_total{result=\"miss\",tenant=\"t\"} 1",
+            "digamma_cache_probe_seconds_count{cache=\"genome\"}",
+        ] {
+            assert!(text.contains(series), "missing {series} in:\n{text}");
+        }
+        assert!(!text.contains("digamma_cache_probes_total"), "{text}");
     }
 
     #[test]
@@ -672,12 +815,11 @@ mod tests {
         let key = problem.genome_key(&genome);
         let evaluation = Arc::new(problem.evaluate(&genome));
         let memo = Arc::new(ShardedGenomeMemo::new(64));
-        let view = JobGenomeMemoView::new(Arc::clone(&memo));
-        assert!(view.lookup(key).is_none());
-        view.store(key, &evaluation);
-        let back = view.lookup(key).expect("stored");
+        assert!(memo.lookup(key).is_none());
+        memo.store(key, &evaluation);
+        let back = memo.lookup(key).expect("stored");
         assert_eq!(*back, *evaluation);
-        assert_eq!((view.hits(), view.misses()), (1, 1));
+        assert_eq!((memo.stats().hits, memo.stats().misses), (1, 1));
         assert_eq!(memo.stats().insertions, 1);
         assert_eq!(memo.len(), 1);
         assert!(memo.capacity() >= 64);

@@ -11,7 +11,9 @@
 //! * [`ShardedFitnessCache`] — a capacity-bounded memo of per-layer
 //!   cost-model results keyed by a stable hash of (layer shape, decoded
 //!   mapping, hardware/model constants); hits skip the cost model
-//!   entirely, and per-job [`JobCacheView`]s report each job's reuse,
+//!   entirely, and a per-job view counts each probe once into the
+//!   job's report and its tenant's ledger (what `/stats` and
+//!   `/metrics` both read),
 //! * [`Snapshot`] — versioned text checkpoints of GA state, so a killed
 //!   search resumes **bit-identically** instead of starting over,
 //! * [`JobRegistry`] / [`SubmitRequest`] — the runtime service: every
@@ -52,7 +54,6 @@ pub mod cachefile;
 mod job;
 mod journal;
 mod manifest;
-mod metrics;
 mod queue;
 mod registry;
 mod snapshot;
@@ -62,10 +63,7 @@ mod tenant;
 
 pub use journal::{Journal, JOURNAL_VERSION};
 
-pub use cache::{
-    CacheStats, EvictionPolicy, JobCacheView, JobGenomeMemoView, ShardedFitnessCache,
-    ShardedGenomeMemo,
-};
+pub use cache::{CacheStats, EvictionPolicy, ShardedFitnessCache, ShardedGenomeMemo};
 pub use job::{JobAlgorithm, JobReport, JobSpec};
 pub use manifest::{parse_manifest, render_job, Manifest, ServerOverrides};
 pub use queue::{AnalyticsUpdate, JobControl, JobProgress, SearchServer, ServerConfig};

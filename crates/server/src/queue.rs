@@ -6,7 +6,8 @@
 //! evaluation). All jobs share one [`ShardedFitnessCache`], so a request
 //! for a model another job already explored — or a re-submitted search —
 //! skips straight to memoized cost-model results; per-job
-//! [`JobCacheView`]s keep each report's hit/miss counters honest.
+//! [`JobCacheView`]s keep each report's hit/miss counters honest and
+//! charge every probe to the tenant's [`TenantMeters`].
 //!
 //! GA jobs additionally checkpoint: with a checkpoint directory
 //! configured, the server snapshots every few generations, and a
@@ -14,14 +15,13 @@
 //! instead of starting over.
 
 use crate::cache::{
-    CacheStats, EvictionPolicy, JobCacheView, JobGenomeMemoView, ShardedFitnessCache,
+    CacheLayer, CacheStats, EvictionPolicy, JobCacheView, ProbeCounts, ShardedFitnessCache,
     ShardedGenomeMemo,
 };
 use crate::cachefile;
 use crate::job::{JobAlgorithm, JobReport, JobSpec};
-use crate::metrics::{MeteredEvalCache, MeteredGenomeMemo};
 use crate::snapshot::Snapshot;
-use crate::tenant::TenantSet;
+use crate::tenant::{TenantMeters, TenantSet};
 use digamma::{
     run_algorithm, scoped_workers, CoOptProblem, DiGamma, DiGammaConfig, EvalHooks, EvalMetrics,
     EvalTrace, Gamma, GammaConfig, SearchResult, SearchState, StepAction, StepObserver,
@@ -30,7 +30,7 @@ use digamma_obs::{
     FailSet, GenStats, Histogram, LogLevel, MetricsRegistry, OpCounters, SpanContext, SpanRecord,
     Tracer, DEFAULT_LATENCY_BUCKETS,
 };
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -62,7 +62,8 @@ pub struct ServerConfig {
     /// Whether the server's [`MetricsRegistry`] records anything. Off,
     /// the registry hands out detached cells: instrumentation still
     /// compiles and runs, but costs only a few dead atomic ops and
-    /// `/metrics` renders empty.
+    /// `/metrics` renders empty. The tenant ledgers keep counting
+    /// either way, so `/stats` is unaffected.
     pub metrics_enabled: bool,
     /// Whether the server's [`Tracer`] records spans. Off, the tracer
     /// is [`Tracer::disabled`]: span guards are inert, nothing is
@@ -276,6 +277,10 @@ pub struct SearchServer {
     /// net front-end, the job registry, per-job eval metrics — records
     /// into this one registry, so one render covers the whole stack.
     metrics: Arc<MetricsRegistry>,
+    /// Each tenant's ledger, resolved once from `metrics` on first use
+    /// and held here so its cells outlive any one job (and keep
+    /// counting under a disabled registry).
+    tenants: Mutex<HashMap<String, Arc<TenantMeters>>>,
     /// The server's span store ([`Tracer::disabled`] when
     /// `config.trace_enabled` is off). Request spans, job-lifecycle
     /// spans, and sampled eval spans all record here, so one trace id
@@ -313,6 +318,7 @@ impl SearchServer {
             spilled_insertions: AtomicU64::new(0),
             spill_lock: Mutex::new(()),
             metrics,
+            tenants: Mutex::new(HashMap::new()),
             tracer,
         };
         server.warm_start();
@@ -323,6 +329,15 @@ impl SearchServer {
     /// network front-end, so one `/metrics` render covers the stack).
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.metrics
+    }
+
+    /// `tenant`'s ledger, created empty on first sight.
+    pub(crate) fn tenant_meters(&self, tenant: &str) -> Arc<TenantMeters> {
+        let mut tenants = self.tenants.lock().expect("tenant meters poisoned");
+        let meters = tenants
+            .entry(tenant.to_owned())
+            .or_insert_with(|| Arc::new(TenantMeters::new(Arc::clone(&self.metrics), tenant)));
+        Arc::clone(meters)
     }
 
     /// The server's span store (disabled when `trace_enabled` is off).
@@ -463,35 +478,23 @@ impl SearchServer {
     /// resumable and its best-so-far design survives in the report).
     pub fn run_job_controlled(&self, spec: &JobSpec, control: &JobControl) -> JobReport {
         let started = Instant::now();
-        let view = self.cache.as_ref().map(|c| Arc::new(JobCacheView::new(Arc::clone(c))));
-        let genome_view =
-            self.genome_memo.as_ref().map(|m| Arc::new(JobGenomeMemoView::new(Arc::clone(m))));
+        let meters = self.tenant_meters(&spec.tenant);
         let mut problem =
             CoOptProblem::new(spec.model.clone(), spec.platform.clone(), spec.objective);
-        // With metrics on, the cache views are wrapped in metering
-        // shims (tenant-labelled probe counters, sampled probe latency);
-        // with metrics off the plain views attach directly.
-        if self.metrics.enabled() {
-            if let Some(view) = &view {
-                problem = problem.with_cache(Arc::new(MeteredEvalCache::new(
-                    &self.metrics,
-                    Arc::clone(view) as _,
-                    &spec.tenant,
-                )) as _);
-            }
-            if let Some(genome_view) = &genome_view {
-                problem = problem.with_genome_memo(Arc::new(MeteredGenomeMemo::new(
-                    &self.metrics,
-                    Arc::clone(genome_view) as _,
-                )) as _);
-            }
-        } else {
-            if let Some(view) = &view {
-                problem = problem.with_cache(Arc::clone(view) as _);
-            }
-            if let Some(genome_view) = &genome_view {
-                problem = problem.with_genome_memo(Arc::clone(genome_view) as _);
-            }
+        let view = self.cache.as_ref().map(|c| {
+            Arc::new(JobCacheView::new(
+                Arc::clone(c),
+                Arc::clone(meters.layer(CacheLayer::Fitness)),
+            ))
+        });
+        if let Some(view) = &view {
+            problem = problem.with_cache(Arc::clone(view) as _);
+        }
+        let genome_view = self.genome_memo.as_ref().map(|m| {
+            Arc::new(JobCacheView::new(Arc::clone(m), Arc::clone(meters.layer(CacheLayer::Genome))))
+        });
+        if let Some(genome_view) = &genome_view {
+            problem = problem.with_genome_memo(Arc::clone(genome_view) as _);
         }
 
         // With tracing on and a claim span stamped on the control, the
@@ -574,6 +577,8 @@ impl SearchServer {
         }
         drop(run_span);
 
+        let cache = view.map_or_else(ProbeCounts::default, |v| v.counts());
+        let genome = genome_view.map_or_else(ProbeCounts::default, |v| v.counts());
         JobReport {
             name: spec.name.clone(),
             algorithm: spec.algorithm.to_string(),
@@ -582,12 +587,12 @@ impl SearchServer {
             generations: outcome.generations,
             resumed_at: outcome.resumed_at,
             cancelled: outcome.cancelled,
-            cache_hits: view.as_ref().map_or(0, |v| v.hits()),
-            cache_misses: view.as_ref().map_or(0, |v| v.misses()),
-            cache_insertions: view.as_ref().map_or(0, |v| v.insertions()),
-            genome_hits: genome_view.as_ref().map_or(0, |v| v.hits()),
-            genome_misses: genome_view.as_ref().map_or(0, |v| v.misses()),
-            genome_insertions: genome_view.as_ref().map_or(0, |v| v.insertions()),
+            cache_hits: cache.hits,
+            cache_misses: cache.misses,
+            cache_insertions: cache.stores,
+            genome_hits: genome.hits,
+            genome_misses: genome.misses,
+            genome_insertions: genome.stores,
             dedup_skipped: problem.batch_dedup_skipped(),
             wall: started.elapsed(),
             queue_wait: Duration::ZERO,

@@ -28,7 +28,9 @@
 //!   subscribers can poll or block on; [`JobView`] snapshots a job's
 //!   status, live progress, and best-so-far/final report, and
 //!   [`RegistryStats`] breaks queue depth, eval consumption, and cache
-//!   reuse down per tenant.
+//!   reuse down per tenant. Job outcomes and cache traffic are read
+//!   live from each tenant's ledger in the [`SearchServer`] — the same
+//!   cells `/metrics` renders — so the two endpoints cannot disagree.
 //! * **Cancel** — [`JobRegistry::cancel`] flips the job's cooperative
 //!   flag; the search stops at its next generation boundary, snapshots,
 //!   and reports its partial best. A queued job cancels immediately and
@@ -40,6 +42,7 @@
 //!   keys are journaled with their batch, so a keyed retry answers the
 //!   original ids across restarts and during a drain.
 
+use crate::cache::CacheLayer;
 use crate::job::{JobReport, JobSpec};
 use crate::journal::Journal;
 use crate::queue::{AnalyticsUpdate, JobControl, JobProgress, SearchServer, ServerConfig};
@@ -269,19 +272,21 @@ pub struct TenantStats {
     pub evals_submitted: u64,
     /// Σ samples actually evaluated by finished jobs.
     pub evals_consumed: u64,
-    /// Fitness-cache hits across this tenant's finished jobs.
+    /// Fitness-cache hits across this tenant's jobs. Live, like every
+    /// cache counter here: running and failed jobs count too, exactly
+    /// as in `digamma_cache_probes_total`.
     pub cache_hits: u64,
-    /// Fitness-cache misses across this tenant's finished jobs.
+    /// Fitness-cache misses across this tenant's jobs.
     pub cache_misses: u64,
-    /// Fitness-cache store calls across this tenant's finished jobs
-    /// (the per-tenant partitioning hook: how much shared cache space
-    /// the tenant's work demanded).
+    /// Fitness-cache store calls across this tenant's jobs (the
+    /// per-tenant partitioning hook: how much shared cache space the
+    /// tenant's work demanded).
     pub cache_insertions: u64,
-    /// Genome-memo hits across this tenant's finished jobs.
+    /// Genome-memo hits across this tenant's jobs.
     pub genome_hits: u64,
-    /// Genome-memo misses across this tenant's finished jobs.
+    /// Genome-memo misses across this tenant's jobs.
     pub genome_misses: u64,
-    /// Genome-memo store calls across this tenant's finished jobs.
+    /// Genome-memo store calls across this tenant's jobs.
     pub genome_insertions: u64,
 }
 
@@ -331,22 +336,9 @@ struct JobEntry {
     stall_emitted: bool,
 }
 
-/// Lifetime usage counters for one tenant (fed from finished jobs'
-/// [`JobReport`]s, except `evals_submitted` which admission maintains).
-#[derive(Debug, Default)]
-struct TenantUsage {
-    evals_submitted: u64,
-    evals_consumed: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    cache_insertions: u64,
-    genome_hits: u64,
-    genome_misses: u64,
-    genome_insertions: u64,
-}
-
 /// One tenant's scheduler state: its FIFO queue plus the deficit
 /// counter the weighted round-robin spends.
+#[derive(Default)]
 struct TenantSched {
     spec: TenantSpec,
     queue: VecDeque<JobId>,
@@ -355,18 +347,16 @@ struct TenantSched {
     deficit: u64,
     /// Jobs currently running (what `spec.max_running` caps).
     running: usize,
-    usage: TenantUsage,
+    /// Σ budget over accepted jobs, less panicked jobs' refunds (what
+    /// `spec.max_evals` caps).
+    evals_submitted: u64,
+    /// Σ samples evaluated by finished jobs.
+    evals_consumed: u64,
 }
 
 impl TenantSched {
     fn new(spec: TenantSpec) -> TenantSched {
-        TenantSched {
-            spec,
-            queue: VecDeque::new(),
-            deficit: 0,
-            running: 0,
-            usage: TenantUsage::default(),
-        }
+        TenantSched { spec, ..TenantSched::default() }
     }
 }
 
@@ -419,7 +409,7 @@ impl RegState {
         self.jobs.insert(id, entry);
         let sched = self.tenant_mut(&tenant);
         sched.queue.push_back(id);
-        sched.usage.evals_submitted += budget;
+        sched.evals_submitted += budget;
     }
 }
 
@@ -531,6 +521,26 @@ struct Inner {
     start_unix: u64,
     /// Unfinished jobs the journal replay resubmitted at start.
     replayed: usize,
+}
+
+impl Inner {
+    /// The one outcome site: moves a job to its terminal `status`,
+    /// closes its event stream, counts the outcome on its tenant's
+    /// ledger, and journals it as finished. Runs under the registry
+    /// lock, so `/stats` never sees a status its counters lag. A
+    /// shutdown's cooperative stop is not journaled: the job stays
+    /// pending (its snapshot survives) and resumes on the next start.
+    fn settle(&self, id: JobId, entry: &mut JobEntry, status: JobStatus) {
+        entry.status = status;
+        entry.push_event(format!("end status={status}"), self.server.config().event_log_capacity);
+        entry.events_done = true;
+        self.server.tenant_meters(&entry.spec.tenant).record_outcome(status);
+        if status != JobStatus::Cancelled || entry.user_cancelled {
+            if let Some(journal) = &self.journal {
+                let _ = journal.append_finished(id, status);
+            }
+        }
+    }
 }
 
 /// The runtime job service. See the module docs.
@@ -790,7 +800,7 @@ impl JobRegistry {
                 }
             }
             if let Some(max) = tspec.max_evals {
-                let used = sched.map_or(0, |s| s.usage.evals_submitted);
+                let used = sched.map_or(0, |s| s.evals_submitted);
                 if used + budget > max {
                     return Err(SubmitError::QuotaExceeded(format!(
                         "tenant {tid:?}: {used} evals submitted + {budget} requested exceeds \
@@ -867,21 +877,14 @@ impl JobRegistry {
     /// request, or `None` for an unknown id.
     pub fn cancel(&self, id: JobId) -> Option<JobStatus> {
         let mut state = self.inner.state.lock().expect("registry poisoned");
-        let journal = self.inner.journal.clone();
-        let capacity = self.inner.server.config().event_log_capacity;
         let entry = state.jobs.get_mut(&id)?;
-        let tenant = entry.spec.tenant.clone();
         match entry.status {
             JobStatus::Queued => {
-                entry.status = JobStatus::Cancelled;
                 entry.user_cancelled = true;
-                entry.push_event("end status=cancelled".to_owned(), capacity);
-                entry.events_done = true;
+                self.inner.settle(id, entry, JobStatus::Cancelled);
+                let tenant = entry.spec.tenant.clone();
                 if let Some(sched) = state.tenants.get_mut(&tenant) {
                     sched.queue.retain(|&queued| queued != id);
-                }
-                if let Some(journal) = &journal {
-                    let _ = journal.append_finished(id, JobStatus::Cancelled);
                 }
             }
             JobStatus::Running => {
@@ -960,64 +963,50 @@ impl JobRegistry {
             running_threads: state.running_threads,
             ..RegistryStats::default()
         };
-        let mut per_tenant: BTreeMap<&str, TenantStats> = state
+        // Outcome and cache counters are read from each tenant's ledger
+        // — the cells `/metrics` renders — not recounted here.
+        stats.tenants = state
             .tenants
             .iter()
             .map(|(id, sched)| {
-                (
-                    id.as_str(),
-                    TenantStats {
-                        id: id.clone(),
-                        weight: sched.spec.weight,
-                        queued: sched.queue.len(),
-                        running: sched.running,
-                        evals_submitted: sched.usage.evals_submitted,
-                        evals_consumed: sched.usage.evals_consumed,
-                        cache_hits: sched.usage.cache_hits,
-                        cache_misses: sched.usage.cache_misses,
-                        cache_insertions: sched.usage.cache_insertions,
-                        genome_hits: sched.usage.genome_hits,
-                        genome_misses: sched.usage.genome_misses,
-                        genome_insertions: sched.usage.genome_insertions,
-                        ..TenantStats::default()
-                    },
-                )
+                let meters = self.inner.server.tenant_meters(id);
+                let cache = meters.layer_counts(CacheLayer::Fitness);
+                let genome = meters.layer_counts(CacheLayer::Genome);
+                TenantStats {
+                    id: id.clone(),
+                    weight: sched.spec.weight,
+                    queued: sched.queue.len(),
+                    running: sched.running,
+                    done: meters.outcomes(JobStatus::Done),
+                    cancelled: meters.outcomes(JobStatus::Cancelled),
+                    failed: meters.outcomes(JobStatus::Failed),
+                    evals_submitted: sched.evals_submitted,
+                    evals_consumed: sched.evals_consumed,
+                    cache_hits: cache.hits,
+                    cache_misses: cache.misses,
+                    cache_insertions: cache.stores,
+                    genome_hits: genome.hits,
+                    genome_misses: genome.misses,
+                    genome_insertions: genome.stores,
+                }
             })
             .collect();
+        for tenant in &stats.tenants {
+            stats.running += tenant.running;
+            stats.done += tenant.done;
+            stats.cancelled += tenant.cancelled;
+            stats.failed += tenant.failed;
+        }
         for entry in state.jobs.values() {
-            let tenant = per_tenant.get_mut(entry.spec.tenant.as_str());
             stats.operators.merge(&entry.ops);
             if entry.status == JobStatus::Running && entry.stall_emitted {
                 stats.stalled += 1;
-            }
-            match entry.status {
-                JobStatus::Queued => {}
-                JobStatus::Running => stats.running += 1,
-                JobStatus::Done => {
-                    stats.done += 1;
-                    if let Some(tenant) = tenant {
-                        tenant.done += 1;
-                    }
-                }
-                JobStatus::Cancelled => {
-                    stats.cancelled += 1;
-                    if let Some(tenant) = tenant {
-                        tenant.cancelled += 1;
-                    }
-                }
-                JobStatus::Failed => {
-                    stats.failed += 1;
-                    if let Some(tenant) = tenant {
-                        tenant.failed += 1;
-                    }
-                }
             }
         }
         // Queue depth is the scheduler's truth (Σ tenant queues), not a
         // recount of statuses: a stale id lingering in a queue *should*
         // show up here as a bug.
         stats.queued = state.tenants.values().map(|sched| sched.queue.len()).sum();
-        stats.tenants = per_tenant.into_values().collect();
         stats
     }
 
@@ -1419,63 +1408,33 @@ fn worker_loop(inner: &Arc<Inner>) {
                 (JobStatus::Failed, None)
             }
         };
-        // A shutdown's cooperative stop is not terminal: the job stays
-        // pending in the journal (its snapshot survives) and resumes on
-        // the next start. A user's cancel is terminal and journaled, as
-        // is a panic-failure.
-        let terminal =
-            status != JobStatus::Cancelled || state.jobs.get(&id).is_some_and(|e| e.user_cancelled);
-        let capacity = inner.server.config().event_log_capacity;
         // What a panicked job actually evaluated before dying: its last
-        // reported generation's running total (read before the usage
-        // borrow below).
-        let consumed_at_failure =
-            state.jobs.get(&id).and_then(|e| e.progress).map_or(0, |p| p.samples as u64);
-        {
-            // Charge the tenant's lifetime meters before the report
-            // moves into the entry.
-            let usage = &mut state.tenant_mut(&spec.tenant).usage;
-            match &report {
-                Some(report) => {
-                    usage.evals_consumed += report.samples as u64;
-                    usage.cache_hits += report.cache_hits;
-                    usage.cache_misses += report.cache_misses;
-                    usage.cache_insertions += report.cache_insertions;
-                    usage.genome_hits += report.genome_hits;
-                    usage.genome_misses += report.genome_misses;
-                    usage.genome_insertions += report.genome_insertions;
-                }
-                None => {
-                    // Refund the unconsumed budget so the `max_evals`
-                    // meter balances: the tenant pays for what the job
-                    // evaluated, not for the budget its crash stranded.
-                    usage.evals_consumed += consumed_at_failure;
-                    usage.evals_submitted = usage
-                        .evals_submitted
-                        .saturating_sub((spec.budget as u64).saturating_sub(consumed_at_failure));
-                }
-            }
+        // reported generation's running total.
+        let consumed = match &report {
+            Some(report) => report.samples as u64,
+            None => state.jobs.get(&id).and_then(|e| e.progress).map_or(0, |p| p.samples as u64),
+        };
+        let sched = state.tenant_mut(&spec.tenant);
+        sched.running = sched.running.saturating_sub(1);
+        sched.evals_consumed += consumed;
+        if report.is_none() {
+            // Refund the unconsumed budget so the `max_evals` meter
+            // balances: the tenant pays for what the job evaluated, not
+            // for the budget its crash stranded.
+            sched.evals_submitted =
+                sched.evals_submitted.saturating_sub((spec.budget as u64).saturating_sub(consumed));
         }
         let mut queue_wait = Duration::ZERO;
         if let Some(entry) = state.jobs.get_mut(&id) {
             queue_wait = entry.queue_wait;
-            entry.status = status;
-            entry.push_event(format!("end status={status}"), capacity);
-            entry.events_done = true;
             if let Some(mut report) = report.take() {
                 report.queue_wait = queue_wait;
                 entry.report = Some(report);
             }
+            inner.settle(id, entry, status);
         }
         state.busy_workers -= 1;
         state.running_threads = state.running_threads.saturating_sub(spec.threads);
-        let sched = state.tenant_mut(&spec.tenant);
-        sched.running = sched.running.saturating_sub(1);
-        if terminal {
-            if let Some(journal) = &inner.journal {
-                let _ = journal.append_finished(id, status);
-            }
-        }
         drop(state);
         let tenant_label: &[(&'static str, &str)] = &[("tenant", &spec.tenant)];
         metrics
@@ -1494,17 +1453,6 @@ fn worker_loop(inner: &Arc<Inner>) {
                 DEFAULT_LATENCY_BUCKETS,
             )
             .observe_duration(run_wall);
-        // A panic-failure keeps its own status label so dashboards can
-        // alert on crashes separately from ordinary failures.
-        let status_label =
-            if status == JobStatus::Failed { "panicked".to_owned() } else { status.to_string() };
-        metrics
-            .counter(
-                "digamma_jobs_completed_total",
-                "Jobs finished, by tenant and terminal status.",
-                &[("status", &status_label), ("tenant", &spec.tenant)],
-            )
-            .inc();
         inner.cond.notify_all();
     }
 }
@@ -2154,6 +2102,68 @@ mod tests {
                 && s.value >= 1.0),
             "panicked status label missing in:\n{text}"
         );
+        registry.shutdown();
+    }
+
+    /// The value of the series `name` whose labels include every pair
+    /// in `labels` (0 when no such series is registered).
+    fn series(registry: &JobRegistry, name: &str, labels: &[(&str, &str)]) -> u64 {
+        digamma_obs::parse_text(&registry.render_metrics())
+            .expect("exposition must parse")
+            .iter()
+            .find(|s| s.name == name && labels.iter().all(|&(k, v)| s.label(k) == Some(v)))
+            .map_or(0, |s| s.value as u64)
+    }
+
+    #[test]
+    fn cancelling_a_queued_job_counts_its_outcome_once() {
+        let registry =
+            JobRegistry::start(ServerConfig { workers: 1, ..ServerConfig::default() }, None)
+                .unwrap();
+        // One worker: the second job of the batch waits behind the first.
+        let ids = registry.submit(vec![spec("long", 20_000), spec("behind", 96)]).unwrap();
+        assert_eq!(registry.cancel(ids[1]), Some(JobStatus::Cancelled), "queued: immediate");
+        registry.cancel(ids[0]);
+        assert_eq!(wait_done(&registry, ids[0]).status, JobStatus::Cancelled);
+        let stats = registry.stats();
+        assert_eq!(stats.cancelled, 2);
+        let cancelled = [("status", "cancelled"), ("tenant", "default")];
+        assert_eq!(
+            series(&registry, "digamma_jobs_completed_total", &cancelled),
+            stats.cancelled as u64
+        );
+        registry.shutdown();
+    }
+
+    #[test]
+    fn a_job_panicking_mid_search_charges_its_probes_to_the_tenant_ledger() {
+        let config = ServerConfig { workers: 1, ..ServerConfig::default() };
+        config.faults.configure("worker.eval=panic,nth:4").unwrap();
+        let registry = JobRegistry::start(config, None).unwrap();
+        let doomed = registry.submit(spec("doomed", 400)).unwrap()[0];
+        assert_eq!(wait_done(&registry, doomed).status, JobStatus::Failed);
+        let stats = registry.stats();
+        let tenant = stats.tenants.iter().find(|t| t.id == "default").unwrap();
+        let probes = |result| {
+            series(
+                &registry,
+                "digamma_cache_probes_total",
+                &[("cache", "fitness"), ("result", result), ("tenant", "default")],
+            )
+        };
+        assert!(tenant.cache_misses > 0, "three batches ran before the panic");
+        assert_eq!(tenant.cache_misses, probes("miss"));
+        assert_eq!(tenant.cache_hits, probes("hit"));
+        let memo = |result| {
+            series(
+                &registry,
+                "digamma_genome_memo_probes_total",
+                &[("result", result), ("tenant", "default")],
+            )
+        };
+        assert!(tenant.genome_misses > 0);
+        assert_eq!(tenant.genome_misses, memo("miss"));
+        assert_eq!(tenant.genome_hits, memo("hit"));
         registry.shutdown();
     }
 

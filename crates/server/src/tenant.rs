@@ -23,8 +23,16 @@
 //! non-empty set is strict: submitting under an unlisted tenant id is
 //! rejected, and — when any tenant defines a token — every request must
 //! authenticate.
+//!
+//! What a tenant *has* consumed lives in its [`TenantMeters`]: the one
+//! ledger of its cache traffic and job outcomes that `/stats` and
+//! `/metrics` both read.
 
+use crate::cache::{CacheLayer, LayerMeters, ProbeCounts};
+use crate::registry::JobStatus;
 use crate::textio::{self, Section, TextError};
+use digamma_obs::{Counter, MetricsRegistry};
+use std::sync::{Arc, OnceLock};
 
 /// The tenant jobs belong to when nobody says otherwise (including every
 /// job replayed from a journal written before tenancy existed).
@@ -178,6 +186,84 @@ impl TenantSet {
     /// Iterates the configured tenants in declaration order.
     pub fn iter(&self) -> impl Iterator<Item = &TenantSpec> {
         self.tenants.iter()
+    }
+}
+
+/// One tenant's live ledger: its traffic through each cache layer and
+/// its terminal job outcomes. Resolved once per tenant by the
+/// [`crate::SearchServer`], which owns it; every probe and outcome is
+/// counted here once, and `/stats` reads the same cells `/metrics`
+/// renders. Under a disabled registry the cells are detached, so
+/// `/stats` keeps counting while `/metrics` stays empty.
+///
+/// Each cell registers its series on first use, so a tenant mints
+/// exactly the series of the work it did: none while idle, no probe
+/// series for a disabled cache layer, one outcome series per status
+/// it reached.
+#[derive(Debug)]
+pub(crate) struct TenantMeters {
+    registry: Arc<MetricsRegistry>,
+    tenant: String,
+    /// Indexed by [`CacheLayer`].
+    layers: [OnceLock<Arc<LayerMeters>>; 2],
+    /// `digamma_jobs_completed_total{status,tenant}` for `done`,
+    /// `cancelled`, `panicked`.
+    outcomes: [OnceLock<Counter>; 3],
+}
+
+impl TenantMeters {
+    /// An empty ledger for `tenant`; nothing registers until used.
+    pub(crate) fn new(registry: Arc<MetricsRegistry>, tenant: &str) -> TenantMeters {
+        TenantMeters {
+            registry,
+            tenant: tenant.to_owned(),
+            layers: Default::default(),
+            outcomes: Default::default(),
+        }
+    }
+
+    /// The tenant's meters for `layer`, registered on first use.
+    pub(crate) fn layer(&self, layer: CacheLayer) -> &Arc<LayerMeters> {
+        self.layers[layer as usize]
+            .get_or_init(|| Arc::new(LayerMeters::new(&self.registry, &self.tenant, layer)))
+    }
+
+    /// The tenant's counts through `layer` so far.
+    pub(crate) fn layer_counts(&self, layer: CacheLayer) -> ProbeCounts {
+        self.layers[layer as usize].get().map_or_else(ProbeCounts::default, |m| m.counts())
+    }
+
+    /// Counts one job reaching the terminal `status`.
+    pub(crate) fn record_outcome(&self, status: JobStatus) {
+        let Some((slot, label)) = outcome_slot(status) else { return };
+        self.outcomes[slot]
+            .get_or_init(|| {
+                self.registry.counter(
+                    "digamma_jobs_completed_total",
+                    "Jobs finished, by tenant and terminal status.",
+                    &[("status", label), ("tenant", &self.tenant)],
+                )
+            })
+            .inc();
+    }
+
+    /// Jobs that reached the terminal `status` so far.
+    pub(crate) fn outcomes(&self, status: JobStatus) -> usize {
+        outcome_slot(status)
+            .and_then(|(slot, _)| self.outcomes[slot].get())
+            .map_or(0, |c| c.value() as usize)
+    }
+}
+
+/// A terminal status's outcome cell and its `status` label (a
+/// panic-failure is labelled `panicked` so dashboards can alert on
+/// crashes separately from ordinary failures).
+fn outcome_slot(status: JobStatus) -> Option<(usize, &'static str)> {
+    match status {
+        JobStatus::Done => Some((0, "done")),
+        JobStatus::Cancelled => Some((1, "cancelled")),
+        JobStatus::Failed => Some((2, "panicked")),
+        JobStatus::Queued | JobStatus::Running => None,
     }
 }
 
