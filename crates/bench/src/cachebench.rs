@@ -218,9 +218,8 @@ pub struct EvictionBenchRow {
 /// rate every round — and evicts strictly from the churn. (Within a
 /// single never-repeated search the two tie: GA elites re-reference
 /// *recent* keys, which both policies retain; the gap opens only under
-/// cross-job competition.) Select per service via the manifest's
-/// `[server] eviction = lru` or `--eviction lru`. Reproduce with
-/// `cargo bench -p digamma_bench --bench cache`.
+/// cross-job competition.) Select per service with `--eviction lru`.
+/// Reproduce with `cargo bench -p digamma_bench --bench cache`.
 pub fn eviction_comparison(config: EvictionBenchConfig) -> Vec<EvictionBenchRow> {
     let mut jobs = Vec::new();
     for round in 0..config.rounds {
@@ -252,7 +251,6 @@ pub fn eviction_comparison(config: EvictionBenchConfig) -> Vec<EvictionBenchRow>
         .into_iter()
         .map(|policy| {
             let server = SearchServer::new(ServerConfig {
-                workers: 1, // deterministic arrival order
                 cache_capacity: config.capacity,
                 // This benchmark isolates the *per-layer* cache's
                 // eviction behaviour; the genome memo above it would
@@ -262,7 +260,7 @@ pub fn eviction_comparison(config: EvictionBenchConfig) -> Vec<EvictionBenchRow>
                 ..ServerConfig::default()
             });
             let started = Instant::now();
-            let reports = server.run(&jobs);
+            let reports: Vec<_> = jobs.iter().map(|job| server.run_job(job)).collect();
             let elapsed = started.elapsed();
             let hot_rates: Vec<f64> = reports
                 .iter()

@@ -62,7 +62,7 @@ pub use digamma_ga::{DiGamma, DiGammaConfig, SearchState, StepAction, StepObserv
 pub use gamma::{Gamma, GammaConfig};
 pub use hwopt::{hw_grid_search, GridSearchResult};
 pub use objective::Objective;
-pub use parallel::{default_threads, parallel_map, scoped_workers};
+pub use parallel::{default_threads, parallel_map};
 pub use problem::{
     CoOptProblem, Constraint, DesignEvaluation, EvalCache, EvalHooks, EvalMetrics, EvalTrace,
     GenomeMemo,

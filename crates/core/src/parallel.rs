@@ -50,35 +50,6 @@ where
     out.into_iter().map(|v| v.expect("all slots filled")).collect()
 }
 
-/// Runs `worker(i)` on `workers` scoped threads and joins them all.
-///
-/// This is the pull-model sibling of [`parallel_map`]: instead of
-/// splitting a known slice, each worker loops pulling work from shared
-/// state (a queue behind a mutex, an atomic counter) until it runs dry.
-/// The search server's job pool is built on this.
-///
-/// With `workers <= 1` the single worker runs inline on the caller's
-/// thread.
-///
-/// # Panics
-///
-/// Propagates panics from `worker`.
-pub fn scoped_workers<F>(workers: usize, worker: F)
-where
-    F: Fn(usize) + Sync,
-{
-    if workers <= 1 {
-        worker(0);
-        return;
-    }
-    std::thread::scope(|scope| {
-        for i in 0..workers {
-            let worker = &worker;
-            scope.spawn(move || worker(i));
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,28 +78,5 @@ mod tests {
     fn more_threads_than_items_is_fine() {
         let items = vec![1, 2];
         assert_eq!(parallel_map(&items, 64, |&x| x), vec![1, 2]);
-    }
-
-    #[test]
-    fn scoped_workers_drain_a_shared_queue() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::Mutex;
-        let queue = Mutex::new((0..100u64).collect::<Vec<_>>());
-        let sum = AtomicU64::new(0);
-        scoped_workers(4, |_| loop {
-            let Some(item) = queue.lock().unwrap().pop() else { break };
-            sum.fetch_add(item, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 99 * 100 / 2);
-    }
-
-    #[test]
-    fn scoped_workers_single_runs_inline() {
-        let hits = std::sync::atomic::AtomicU64::new(0);
-        scoped_workers(1, |i| {
-            assert_eq!(i, 0);
-            hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(std::sync::atomic::Ordering::Relaxed), 1);
     }
 }

@@ -595,9 +595,15 @@ fn smoke(
             }
             println!("smoke: unauthenticated submit rejected with 401");
             if let Some(limited) = limited_token.as_deref() {
-                let over =
-                    client::request_as(&addr, "POST", "/jobs", Some(&manifest), Some(limited))
-                        .map_err(stringify)?;
+                let over = client::request_with_headers(
+                    &addr,
+                    "POST",
+                    "/jobs",
+                    Some(&manifest),
+                    Some(limited),
+                    &[],
+                )
+                .map_err(stringify)?;
                 if over.status != 429 {
                     return Err(format!("over-quota submit got {}, wanted 429", over.status));
                 }

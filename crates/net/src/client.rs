@@ -5,9 +5,12 @@
 //! integration tests, and the CI smoke to exercise the real client path
 //! without crates.io.
 //!
-//! Every call has a `_as` variant taking an optional bearer token for
-//! services running with an authenticated tenant roster; the plain
-//! variants are the token-less shorthand.
+//! [`request_with_headers`], [`get_as`], [`post_as`] and
+//! [`stream_events_as`] take an optional bearer token for services
+//! running with an authenticated tenant roster; the plain calls are the
+//! token-less shorthand. Every request head is written by one private
+//! writer, so `Authorization`, `traceparent` and `Connection: close`
+//! are rendered in one place.
 
 use crate::httpio::{read_chunk, Response};
 use std::io::{BufReader, Write};
@@ -46,26 +49,12 @@ pub fn request(
     path: &str,
     body: Option<&str>,
 ) -> std::io::Result<Response> {
-    request_as(addr, method, path, body, None)
+    request_with_headers(addr, method, path, body, None, &[])
 }
 
-/// [`request`] with an optional `Authorization: Bearer` credential.
-///
-/// # Errors
-///
-/// Returns [`std::io::Error`] on connection or framing failures.
-pub fn request_as(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-    token: Option<&str>,
-) -> std::io::Result<Response> {
-    request_with_headers(addr, method, path, body, token, &[])
-}
-
-/// [`request_as`] plus arbitrary extra request headers — how a submit
-/// carries its `Idempotency-Key`.
+/// [`request`] plus an optional `Authorization: Bearer` credential and
+/// arbitrary extra request headers — how a submit carries its
+/// `Idempotency-Key`.
 ///
 /// # Errors
 ///
@@ -78,9 +67,28 @@ pub fn request_with_headers(
     token: Option<&str>,
     extra_headers: &[(&str, &str)],
 ) -> std::io::Result<Response> {
+    let mut reader = send(addr, method, path, body, token, extra_headers)?;
+    let mut response = Response::read_head(&mut reader)?;
+    response.read_body(&mut reader)?;
+    Ok(response)
+}
+
+/// Connects, writes one request (head and body), and hands back the
+/// connection for reading the response.
+fn send(
+    addr: &str,
+    method: &str,
+    path: &str,
+    body: Option<&str>,
+    token: Option<&str>,
+    extra_headers: &[(&str, &str)],
+) -> std::io::Result<BufReader<TcpStream>> {
     let mut stream = TcpStream::connect(addr)?;
     let body = body.unwrap_or("");
-    let auth = bearer_header(token);
+    let auth = match token {
+        Some(token) => format!("Authorization: Bearer {token}\r\n"),
+        None => String::new(),
+    };
     let traceparent = traceparent_header();
     let extra: String =
         extra_headers.iter().map(|(name, value)| format!("{name}: {value}\r\n")).collect();
@@ -90,10 +98,7 @@ pub fn request_with_headers(
         body.len()
     )?;
     stream.flush()?;
-    let mut reader = BufReader::new(stream);
-    let mut response = Response::read_head(&mut reader)?;
-    response.read_body(&mut reader)?;
-    Ok(response)
+    Ok(BufReader::new(stream))
 }
 
 /// How an idempotent request retries: total attempt count and the
@@ -214,13 +219,6 @@ pub fn submit_keyed(
     )?)
 }
 
-fn bearer_header(token: Option<&str>) -> String {
-    match token {
-        Some(token) => format!("Authorization: Bearer {token}\r\n"),
-        None => String::new(),
-    }
-}
-
 /// `GET path`, expecting success; returns the body.
 ///
 /// # Errors
@@ -237,7 +235,7 @@ pub fn get(addr: &str, path: &str) -> std::io::Result<String> {
 ///
 /// See [`get`].
 pub fn get_as(addr: &str, path: &str, token: Option<&str>) -> std::io::Result<String> {
-    expect_ok(request_as(addr, "GET", path, None, token)?)
+    expect_ok(request_with_headers(addr, "GET", path, None, token, &[])?)
 }
 
 /// `POST path` with an optional body, expecting success; returns the
@@ -261,7 +259,7 @@ pub fn post_as(
     body: Option<&str>,
     token: Option<&str>,
 ) -> std::io::Result<String> {
-    expect_ok(request_as(addr, "POST", path, body, token)?)
+    expect_ok(request_with_headers(addr, "POST", path, body, token, &[])?)
 }
 
 fn expect_ok(response: Response) -> std::io::Result<String> {
@@ -302,15 +300,8 @@ pub fn stream_events_as(
     token: Option<&str>,
     mut on_line: impl FnMut(&str) -> bool,
 ) -> std::io::Result<Vec<String>> {
-    let mut stream = TcpStream::connect(addr)?;
-    let auth = bearer_header(token);
-    let traceparent = traceparent_header();
-    write!(
-        stream,
-        "GET /jobs/{id}/events?from={from} HTTP/1.1\r\nHost: {addr}\r\n{auth}{traceparent}Connection: close\r\n\r\n"
-    )?;
-    stream.flush()?;
-    let mut reader = BufReader::new(stream);
+    let path = format!("/jobs/{id}/events?from={from}");
+    let mut reader = send(addr, "GET", &path, None, token, &[])?;
     let response = Response::read_head(&mut reader)?;
     if response.status != 200 {
         let mut response = response;

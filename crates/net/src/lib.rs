@@ -1,11 +1,11 @@
 //! `digamma-net`: the TCP/HTTP front-end over the DiGamma search
 //! service.
 //!
-//! PR 2's `digamma-server` made searching a batch service (job queue,
-//! shared fitness memo, checkpoint/resume); this crate puts a network
-//! listener in front of the *runtime* queue so clients submit
-//! co-optimization jobs over a socket, watch per-generation progress
-//! stream back, and cancel mid-search:
+//! `digamma-server` owns the job queue (`JobRegistry`), the shared
+//! fitness memo and checkpoint/resume; this crate puts a network
+//! listener in front of that queue so clients submit co-optimization
+//! jobs over a socket, watch per-generation progress stream back, and
+//! cancel mid-search:
 //!
 //! * [`httpio`] — hand-rolled HTTP/1.1 framing (requests, fixed and
 //!   chunked responses, keep-alive) over `std::net`, crates.io-free like

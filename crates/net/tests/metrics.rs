@@ -212,7 +212,8 @@ fn metrics_respect_the_bearer_token_gate() {
     let denied = client::request(&service.addr, "GET", "/metrics", None).unwrap();
     assert_eq!(denied.status, 401, "unauthenticated scrape must bounce");
     let allowed =
-        client::request_as(&service.addr, "GET", "/metrics", None, Some("hunter2")).unwrap();
+        client::request_with_headers(&service.addr, "GET", "/metrics", None, Some("hunter2"), &[])
+            .unwrap();
     assert_eq!(allowed.status, 200);
     assert!(parse_text(&allowed.body).is_ok());
     // The denial itself is visible in the next authorized scrape.

@@ -350,6 +350,16 @@ fn protocol_errors_are_4xx_not_hangs() {
 }
 
 #[test]
+fn misspelt_job_key_is_a_400_not_a_default_run() {
+    let service = Service::start(1, None);
+    let manifest = small_job("typo", 64).replace("budget", "budgte");
+    let response = client::request(&service.addr, "POST", "/jobs", Some(&manifest)).unwrap();
+    assert_eq!(response.status, 400, "{}", response.body);
+    assert!(response.body.contains("unknown key `budgte`"), "{}", response.body);
+    assert!(service.registry.jobs().is_empty(), "nothing may be enqueued");
+}
+
+#[test]
 fn event_stream_from_beyond_end_resyncs_instead_of_stalling() {
     let service = Service::start(1, None);
     let ids = service.submit(&small_job("overshoot", 96));

@@ -243,36 +243,6 @@ impl JobReport {
             self.genome_hits as f64 / total as f64
         }
     }
-
-    /// One human-readable summary line.
-    pub fn summary(&self) -> String {
-        let outcome = match &self.best {
-            Some(b) => format!(
-                "cost {:.4e} | latency {:.3e} cy | area {:.3e} um2",
-                b.cost, b.latency_cycles, b.area_um2
-            ),
-            None => "no feasible design".to_owned(),
-        };
-        let resumed = match self.resumed_at {
-            Some(g) => format!(" | resumed@gen{g}"),
-            None => String::new(),
-        };
-        let cancelled = if self.cancelled { " | cancelled" } else { "" };
-        format!(
-            "{:<24} {:<12} {} | {} samples | cache {:.0}% hit ({}h/{}m) | genome {}h | {:.2}s{}{}",
-            self.name,
-            self.algorithm,
-            outcome,
-            self.samples,
-            self.cache_hit_rate() * 100.0,
-            self.cache_hits,
-            self.cache_misses,
-            self.genome_hits,
-            self.wall.as_secs_f64(),
-            resumed,
-            cancelled
-        )
-    }
 }
 
 #[cfg(test)]

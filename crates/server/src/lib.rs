@@ -5,23 +5,23 @@
 //! this model on this platform"); this crate is the layer between those
 //! calls and a service that answers *many* users' questions fast:
 //!
-//! * [`SearchServer`] / [`JobSpec`] — a job queue that schedules
-//!   co-optimization requests (model × platform × objective ×
-//!   algorithm) across a scoped-thread worker pool,
+//! * [`JobRegistry`] / [`SubmitRequest`] — the job queue: every
+//!   submission, whether one spec or a parsed `POST /jobs` manifest
+//!   ([`SubmitRequest::manifest`], format in [`parse_manifest`]), is one
+//!   request through [`JobRegistry::submit`]; long-lived workers drain
+//!   the tenants' queues by weighted round-robin,
+//! * [`SearchServer`] — what every job shares: the caches below, the
+//!   checkpoint directory and the metric and span stores;
+//!   [`SearchServer::run_job`] is the body one worker runs per
+//!   [`JobSpec`] (model × platform × objective × algorithm),
 //! * [`ShardedFitnessCache`] — a capacity-bounded memo of per-layer
 //!   cost-model results keyed by a stable hash of (layer shape, decoded
 //!   mapping, hardware/model constants); hits skip the cost model
 //!   entirely, and a per-job view counts each probe once into the
 //!   job's report and its tenant's ledger (what `/stats` and
-//!   `/metrics` both read),
+//!   `/metrics` both read), and
 //! * [`Snapshot`] — versioned text checkpoints of GA state, so a killed
-//!   search resumes **bit-identically** instead of starting over,
-//! * [`JobRegistry`] / [`SubmitRequest`] — the runtime service: every
-//!   submission, whether one spec or a parsed `POST /jobs` manifest
-//!   ([`SubmitRequest::manifest`]), is one request through
-//!   [`JobRegistry::submit`], and
-//! * [`parse_manifest`] — the text manifest format `digamma-serve` and
-//!   the wire front-end read.
+//!   search resumes **bit-identically** instead of starting over.
 //!
 //! # Quickstart
 //!
@@ -31,7 +31,7 @@
 //! use digamma_costmodel::Platform;
 //! use digamma_workload::zoo;
 //!
-//! let server = SearchServer::new(ServerConfig { workers: 2, ..Default::default() });
+//! let server = SearchServer::new(ServerConfig::default());
 //! let mut job = JobSpec::new(
 //!     "ncf-edge",
 //!     zoo::ncf(),
@@ -41,9 +41,9 @@
 //! );
 //! job.budget = 120;
 //! job.population_size = 12;
-//! let reports = server.run(&[job]);
-//! assert!(reports[0].best.is_some());
-//! assert!(reports[0].cache_hits > 0, "elite re-evaluations hit the memo");
+//! let report = server.run_job(&job);
+//! assert!(report.best.is_some());
+//! assert!(report.cache_hits > 0, "elite re-evaluations hit the memo");
 //! ```
 
 #![warn(missing_docs)]
@@ -65,7 +65,7 @@ pub use journal::{Journal, JOURNAL_VERSION};
 
 pub use cache::{CacheStats, EvictionPolicy, ShardedFitnessCache, ShardedGenomeMemo};
 pub use job::{JobAlgorithm, JobReport, JobSpec};
-pub use manifest::{parse_manifest, render_job, Manifest, ServerOverrides};
+pub use manifest::{parse_manifest, render_job};
 pub use queue::{AnalyticsUpdate, JobControl, JobProgress, SearchServer, ServerConfig};
 pub use registry::{
     JobId, JobRegistry, JobStatus, JobView, RegistryStats, SubmitError, SubmitRequest, TenantStats,

@@ -1,20 +1,14 @@
-//! Job manifests: the text form in which work arrives at `digamma-serve`
-//! and at `digamma-netd`'s `POST /jobs` endpoint.
+//! Job manifests: the text form in which work arrives at `digamma-netd`'s
+//! `POST /jobs` endpoint (through [`crate::SubmitRequest::manifest`]).
+//! The job journal persists each accepted spec as the same `[job]`
+//! section ([`render_job`]) and reads it back at replay
+//! ([`parse_job_section`]).
 //!
 //! A manifest is a [`crate::textio`] document with one `[job]` section
-//! per search request, plus an optional leading `[server]` section
-//! overriding service knobs:
+//! per search request:
 //!
 //! ```text
 //! # Co-design batch for the edge SoC tape-out.
-//! [server]
-//! workers = 4                    # worker threads (optional)
-//! cache_capacity = 262144        # fitness memo entries, 0 = off
-//! genome_cache_capacity = 65536  # whole-genome memo entries, 0 = off
-//! event_log_capacity = 1024      # per-job event ring, newest N lines
-//! eviction = lru                 # fifo | lru (default fifo)
-//! checkpoint_every = 8           # default snapshot cadence
-//!
 //! [job]
 //! name = ncf-edge                # default: job-<index>
 //! model = ncf                    # required; any zoo name
@@ -50,64 +44,27 @@
 //! max_evals = 1000000            # lifetime submitted-eval-budget cap
 //! ```
 
-use crate::cache::EvictionPolicy;
 use crate::job::{JobAlgorithm, JobSpec};
-use crate::queue::ServerConfig;
 use crate::textio::{self, Section, TextError};
 use digamma::Objective;
 use digamma_costmodel::Platform;
 use std::collections::HashSet;
 
-/// Service knobs a manifest's optional `[server]` section overrides.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ServerOverrides {
-    /// Worker threads, when given.
-    pub workers: Option<usize>,
-    /// Fitness-cache capacity (`0` disables), when given.
-    pub cache_capacity: Option<usize>,
-    /// Whole-genome memo capacity (`0` disables), when given.
-    pub genome_cache_capacity: Option<usize>,
-    /// Cache eviction policy, when given.
-    pub eviction: Option<EvictionPolicy>,
-    /// Default snapshot cadence, when given.
-    pub checkpoint_every: Option<u64>,
-    /// Per-job event-log ring capacity, when given.
-    pub event_log_capacity: Option<usize>,
-}
-
-impl ServerOverrides {
-    /// Applies the overrides on top of a base configuration.
-    pub fn apply(&self, config: &mut ServerConfig) {
-        if let Some(workers) = self.workers {
-            config.workers = workers;
-        }
-        if let Some(capacity) = self.cache_capacity {
-            config.cache_capacity = capacity;
-        }
-        if let Some(capacity) = self.genome_cache_capacity {
-            config.genome_cache_capacity = capacity;
-        }
-        if let Some(eviction) = self.eviction {
-            config.eviction = eviction;
-        }
-        if let Some(every) = self.checkpoint_every {
-            config.checkpoint_every = every;
-        }
-        if let Some(capacity) = self.event_log_capacity {
-            config.event_log_capacity = capacity;
-        }
-    }
-}
-
-/// A fully parsed manifest: optional server overrides plus jobs in
-/// document order.
-#[derive(Debug, Clone)]
-pub struct Manifest {
-    /// Overrides from the optional `[server]` section.
-    pub server: ServerOverrides,
-    /// The requested jobs, in document order.
-    pub jobs: Vec<JobSpec>,
-}
+/// Every key a `[job]` section may carry: what [`parse_job_section`]
+/// reads and [`render_job`] writes.
+const JOB_KEYS: [&str; 11] = [
+    "name",
+    "tenant",
+    "model",
+    "platform",
+    "objective",
+    "algorithm",
+    "budget",
+    "seed",
+    "population",
+    "threads",
+    "checkpoint_every",
+];
 
 /// Parses one `[job]` section into a spec. `index` positions the job in
 /// its document (for the default name and error messages); `name`
@@ -185,79 +142,39 @@ pub fn render_job(spec: &JobSpec) -> Section {
     section
 }
 
-fn parse_server_section(section: &Section) -> Result<ServerOverrides, TextError> {
-    let mut overrides = ServerOverrides::default();
-    for (key, value) in &section.entries {
-        match key.as_str() {
-            "workers" => overrides.workers = Some(section.get_parsed_or("workers", 0)?),
-            "cache_capacity" => {
-                overrides.cache_capacity = Some(section.get_parsed_or("cache_capacity", 0)?);
-            }
-            "genome_cache_capacity" => {
-                overrides.genome_cache_capacity =
-                    Some(section.get_parsed_or("genome_cache_capacity", 0)?);
-            }
-            "event_log_capacity" => {
-                overrides.event_log_capacity =
-                    Some(section.get_parsed_or("event_log_capacity", 0)?);
-            }
-            "eviction" => {
-                overrides.eviction = Some(EvictionPolicy::parse(value).ok_or_else(|| {
-                    TextError::new(format!("[server] has bad `eviction`: {value:?} (fifo | lru)"))
-                })?);
-            }
-            "checkpoint_every" => {
-                overrides.checkpoint_every = Some(section.get_parsed_or("checkpoint_every", 0)?);
-            }
-            other => {
-                return Err(TextError::new(format!("[server] has unknown key `{other}`")));
-            }
-        }
-    }
-    if overrides.workers == Some(0) {
-        return Err(TextError::new("[server] workers must be at least 1"));
-    }
-    Ok(overrides)
-}
-
-/// Parses a whole manifest: an optional leading `[server]` section plus
-/// job specs in document order.
+/// Parses a whole manifest: its job specs in document order.
 ///
 /// # Errors
 ///
-/// Returns [`TextError`] on syntax errors, unknown names or sections,
-/// duplicate job names, or an empty manifest.
-pub fn parse_manifest(text: &str) -> Result<Manifest, TextError> {
-    let sections = textio::parse_sections(text)?;
-    let mut server = ServerOverrides::default();
+/// Returns [`TextError`] on syntax errors, unknown sections, keys or
+/// names, duplicate job names, or an empty manifest.
+pub fn parse_manifest(text: &str) -> Result<Vec<JobSpec>, TextError> {
     let mut jobs = Vec::new();
     let mut names = HashSet::new();
-    for section in &sections {
-        match section.name.as_str() {
-            "server" => {
-                if !jobs.is_empty() {
-                    return Err(TextError::new("[server] must precede the [job] sections"));
-                }
-                server = parse_server_section(section)?;
-            }
-            "job" => {
-                let spec = parse_job_section(section, jobs.len())?;
-                if !names.insert(spec.name.clone()) {
-                    return Err(TextError::new(format!("duplicate job name {:?}", spec.name)));
-                }
-                jobs.push(spec);
-            }
-            other => {
-                return Err(TextError::new(format!(
-                    "unknown section [{other}] (manifests contain [server] and [job])"
-                )));
-            }
+    for section in &textio::parse_sections(text)? {
+        if section.name != "job" {
+            return Err(TextError::new(format!(
+                "unknown section [{}] (manifests contain only [job] sections)",
+                section.name
+            )));
         }
+        // Checked here rather than in `parse_job_section`, which journal
+        // replay shares: its records carry their own `id`/`crc` keys.
+        if let Some((key, _)) =
+            section.entries.iter().find(|(key, _)| !JOB_KEYS.contains(&key.as_str()))
+        {
+            return Err(TextError::new(format!("[job {}] has unknown key `{key}`", jobs.len())));
+        }
+        let spec = parse_job_section(section, jobs.len())?;
+        if !names.insert(spec.name.clone()) {
+            return Err(TextError::new(format!("duplicate job name {:?}", spec.name)));
+        }
+        jobs.push(spec);
     }
     if jobs.is_empty() {
         return Err(TextError::new("manifest has no [job] sections"));
     }
-    Ok(Manifest { server, jobs })
+    Ok(jobs)
 }
 
 #[cfg(test)]
@@ -292,7 +209,7 @@ algorithm = gamma:compute
 model = ncf
 algorithm = cma
 ";
-        let jobs = parse_manifest(text).unwrap().jobs;
+        let jobs = parse_manifest(text).unwrap();
         assert_eq!(jobs.len(), 3);
         assert_eq!(jobs[0].name, "ncf-edge");
         assert_eq!(jobs[0].budget, 500);
@@ -306,41 +223,6 @@ algorithm = cma
         assert_eq!(jobs[1].algorithm, JobAlgorithm::Gamma(HwPreset::ComputeFocused));
         assert_eq!(jobs[2].algorithm, JobAlgorithm::Baseline(Algorithm::Cma));
         assert_eq!(jobs[2].budget, 600, "defaults apply");
-    }
-
-    #[test]
-    fn server_section_overrides_apply() {
-        let text = "\
-[server]
-workers = 3
-cache_capacity = 1024
-genome_cache_capacity = 512
-event_log_capacity = 64
-eviction = lru
-
-[job]
-model = ncf
-";
-        let manifest = parse_manifest(text).unwrap();
-        let mut config = ServerConfig::default();
-        manifest.server.apply(&mut config);
-        assert_eq!(config.workers, 3);
-        assert_eq!(config.cache_capacity, 1024);
-        assert_eq!(config.genome_cache_capacity, 512);
-        assert_eq!(config.event_log_capacity, 64);
-        assert_eq!(config.eviction, EvictionPolicy::Lru);
-        // Absent keys leave the base config alone.
-        assert_eq!(config.checkpoint_every, ServerConfig::default().checkpoint_every);
-        // Bad values and misplaced sections are named errors.
-        for (text, needle) in [
-            ("[server]\neviction = 2q\n[job]\nmodel = ncf\n", "eviction"),
-            ("[server]\nworkers = 0\n[job]\nmodel = ncf\n", "workers"),
-            ("[server]\nquota = 9\n[job]\nmodel = ncf\n", "unknown key"),
-            ("[job]\nmodel = ncf\n[server]\nworkers = 2\n", "precede"),
-        ] {
-            let err = parse_manifest(text).unwrap_err();
-            assert!(err.to_string().contains(needle), "{text:?} → {err}");
-        }
     }
 
     #[test]
@@ -358,10 +240,9 @@ population = 24
 threads = 2
 checkpoint_every = 5
 ";
-        let spec = &parse_manifest(text).unwrap().jobs[0];
-        let rendered = render_job(spec).render();
-        let sections = textio::parse_sections(&rendered).unwrap();
-        let back = parse_job_section(&sections[0], 0).unwrap();
+        let spec = &parse_manifest(text).unwrap()[0];
+        // Every key `render_job` writes is one a manifest accepts.
+        let back = &parse_manifest(&render_job(spec).render()).unwrap()[0];
         assert_eq!(back.name, spec.name);
         assert_eq!(back.fingerprint(), spec.fingerprint());
         assert_eq!(back.threads, spec.threads);
@@ -371,9 +252,8 @@ checkpoint_every = 5
 
     #[test]
     fn tenant_key_roundtrips_and_defaults() {
-        let jobs = parse_manifest("[job]\nmodel = ncf\ntenant = alpha\n[job]\nmodel = dlrm\n")
-            .unwrap()
-            .jobs;
+        let jobs =
+            parse_manifest("[job]\nmodel = ncf\ntenant = alpha\n[job]\nmodel = dlrm\n").unwrap();
         assert_eq!(jobs[0].tenant, "alpha");
         assert_eq!(jobs[1].tenant, "default");
         let rendered = render_job(&jobs[0]).render();
@@ -393,8 +273,15 @@ checkpoint_every = 5
             ("[job]\nmodel = ncf\npopulation = 2\n", "population"),
             ("[job]\nmodel = ncf\nthreads = 0\n", "threads"),
             ("[job]\nmodel = ncf\ntenant = no spaces\n", "bad tenant id"),
+            // A misspelt knob must not silently run the job at its default.
+            ("[job]\nmodel = ncf\nbudgte = 50\n", "[job 0] has unknown key `budgte`"),
+            (
+                "[job]\nmodel = ncf\n[job]\nname = b\nmodel = ncf\nid = 7\n",
+                "[job 1] has unknown key `id`",
+            ),
             ("[job]\nname = a\nmodel = ncf\n[job]\nname = a\nmodel = ncf\n", "duplicate"),
             ("[batch]\n", "unknown section"),
+            ("[server]\nworkers = 2\n[job]\nmodel = ncf\n", "unknown section [server]"),
         ] {
             let err = parse_manifest(text).unwrap_err();
             assert!(err.to_string().contains(needle), "{text:?} → {err}");

@@ -1,13 +1,12 @@
-//! The job queue and worker pool: many searches, one machine.
+//! What every search job shares, and the body that runs one.
 //!
-//! [`SearchServer::run`] drains a batch of [`JobSpec`]s across a pool of
-//! scoped worker threads (built on [`digamma::scoped_workers`], the same
-//! `std::thread::scope` infrastructure that parallelizes fitness
-//! evaluation). All jobs share one [`ShardedFitnessCache`], so a request
-//! for a model another job already explored — or a re-submitted search —
-//! skips straight to memoized cost-model results; per-job
-//! [`JobCacheView`]s keep each report's hit/miss counters honest and
-//! charge every probe to the tenant's [`TenantMeters`].
+//! [`SearchServer`] owns one [`ShardedFitnessCache`] and one
+//! [`ShardedGenomeMemo`] for all jobs, so a request for a model another
+//! job already explored — or a re-submitted search — skips straight to
+//! memoized cost-model results; per-job [`JobCacheView`]s keep each
+//! report's hit/miss counters honest and charge every probe to the
+//! tenant's [`TenantMeters`]. [`SearchServer::run_job_controlled`] is
+//! what a [`crate::JobRegistry`] worker runs for each job it claims.
 //!
 //! GA jobs additionally checkpoint: with a checkpoint directory
 //! configured, the server snapshots every few generations, and a
@@ -23,14 +22,14 @@ use crate::job::{JobAlgorithm, JobReport, JobSpec};
 use crate::snapshot::Snapshot;
 use crate::tenant::{TenantMeters, TenantSet};
 use digamma::{
-    run_algorithm, scoped_workers, CoOptProblem, DiGamma, DiGammaConfig, EvalHooks, EvalMetrics,
-    EvalTrace, Gamma, GammaConfig, SearchResult, SearchState, StepAction, StepObserver,
+    run_algorithm, CoOptProblem, DiGamma, DiGammaConfig, EvalHooks, EvalMetrics, EvalTrace, Gamma,
+    GammaConfig, SearchResult, SearchState, StepAction, StepObserver,
 };
 use digamma_obs::{
     FailSet, GenStats, Histogram, LogLevel, MetricsRegistry, OpCounters, SpanContext, SpanRecord,
     Tracer, DEFAULT_LATENCY_BUCKETS,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -40,7 +39,7 @@ use std::time::{Duration, Instant};
 /// Server-wide knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Concurrent worker threads draining the job queue.
+    /// Worker threads a [`crate::JobRegistry`] drains its queues with.
     pub workers: usize,
     /// Total fitness-cache capacity in memoized per-layer reports;
     /// `0` runs the server cache-less.
@@ -255,9 +254,10 @@ impl fmt::Debug for JobControl {
     }
 }
 
-/// The long-running search service: a shared fitness memo (per-layer
-/// and whole-genome layers) plus a worker pool that schedules submitted
-/// jobs.
+/// The state every search job runs against: the shared fitness memo
+/// (per-layer and whole-genome layers), the checkpoint directory and
+/// memo spill file, and the metric and span stores. A
+/// [`crate::JobRegistry`] schedules jobs onto it.
 #[derive(Debug)]
 pub struct SearchServer {
     config: ServerConfig,
@@ -441,29 +441,6 @@ impl SearchServer {
     /// Counters of the whole-genome memo (`None` when disabled).
     pub fn genome_memo_stats(&self) -> Option<CacheStats> {
         self.genome_memo.as_ref().map(|c| c.stats())
-    }
-
-    /// Runs every job to completion and returns reports in submission
-    /// order. Jobs are independent; a panicking job propagates after the
-    /// remaining workers finish (scoped threads join on exit).
-    pub fn run(&self, jobs: &[JobSpec]) -> Vec<JobReport> {
-        let queue: Mutex<VecDeque<(usize, &JobSpec)>> =
-            Mutex::new(jobs.iter().enumerate().collect());
-        let results: Mutex<Vec<Option<JobReport>>> = Mutex::new(vec![None; jobs.len()]);
-        let workers = self.config.workers.min(jobs.len()).max(1);
-        scoped_workers(workers, |_| loop {
-            let Some((index, spec)) = queue.lock().expect("job queue poisoned").pop_front() else {
-                break;
-            };
-            let report = self.run_job(spec);
-            results.lock().expect("job results poisoned")[index] = Some(report);
-        });
-        results
-            .into_inner()
-            .expect("job results poisoned")
-            .into_iter()
-            .map(|r| r.expect("every queued job reports"))
-            .collect()
     }
 
     /// Runs one job inline on the calling thread (the worker body).
@@ -892,59 +869,17 @@ mod tests {
     }
 
     #[test]
-    fn batch_reports_come_back_in_submission_order() {
-        let server = SearchServer::new(ServerConfig { workers: 3, ..Default::default() });
-        let jobs = vec![
-            spec("a", JobAlgorithm::DiGamma),
-            spec("b", JobAlgorithm::Baseline(Algorithm::Random)),
-            spec("c", JobAlgorithm::Gamma(digamma::schemes::HwPreset::MediumBufCom)),
-        ];
-        let reports = server.run(&jobs);
-        assert_eq!(
-            reports.iter().map(|r| r.name.as_str()).collect::<Vec<_>>(),
-            vec!["a", "b", "c"]
-        );
-        for r in &reports {
-            assert_eq!(r.samples, 120, "{}", r.name);
-        }
-        assert!(reports[0].generations > 0);
-        assert_eq!(reports[1].generations, 0, "baselines do not step generations");
-    }
-
-    #[test]
-    fn concurrent_execution_matches_serial_execution() {
-        let jobs = vec![spec("x", JobAlgorithm::DiGamma), spec("y", JobAlgorithm::DiGamma)];
-        let serial =
-            SearchServer::new(ServerConfig { workers: 1, cache_capacity: 0, ..Default::default() })
-                .run(&jobs);
-        let parallel = SearchServer::new(ServerConfig {
-            workers: 4,
-            cache_capacity: 1 << 16,
-            ..Default::default()
-        })
-        .run(&jobs);
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(
-                s.best.as_ref().map(|b| b.cost.to_bits()),
-                p.best.as_ref().map(|b| b.cost.to_bits()),
-                "caching/concurrency must not change results"
-            );
-        }
-    }
-
-    #[test]
     fn shared_cache_reports_per_job_hits() {
         // Genome memo off: the per-layer cache is the first memo layer,
         // so elite re-evaluations hit it directly (the original
         // behaviour, still reachable by configuration).
-        let server = SearchServer::new(ServerConfig {
-            workers: 1,
-            genome_cache_capacity: 0,
-            ..Default::default()
-        });
+        let server =
+            SearchServer::new(ServerConfig { genome_cache_capacity: 0, ..Default::default() });
         // The same search twice: the second run should hit constantly.
-        let jobs = vec![spec("first", JobAlgorithm::DiGamma), spec("again", JobAlgorithm::DiGamma)];
-        let reports = server.run(&jobs);
+        let reports = [
+            server.run_job(&spec("first", JobAlgorithm::DiGamma)),
+            server.run_job(&spec("again", JobAlgorithm::DiGamma)),
+        ];
         assert!(reports[0].cache_hits > 0, "elite re-evaluation hits within one search");
         assert!(
             reports[1].cache_hit_rate() > reports[0].cache_hit_rate(),
@@ -959,9 +894,11 @@ mod tests {
 
     #[test]
     fn genome_memo_absorbs_recurring_genomes_above_the_layer_cache() {
-        let server = SearchServer::new(ServerConfig { workers: 1, ..Default::default() });
-        let jobs = vec![spec("first", JobAlgorithm::DiGamma), spec("again", JobAlgorithm::DiGamma)];
-        let reports = server.run(&jobs);
+        let server = SearchServer::new(ServerConfig::default());
+        let reports = [
+            server.run_job(&spec("first", JobAlgorithm::DiGamma)),
+            server.run_job(&spec("again", JobAlgorithm::DiGamma)),
+        ];
         // Within one search, elites recur every generation: the genome
         // layer catches them before any per-layer work happens.
         assert!(reports[0].genome_hits > 0, "elites must hit the genome memo");

@@ -1,10 +1,9 @@
 //! The runtime job registry: accept work from many tenants while
 //! searches run.
 //!
-//! [`SearchServer::run`] drains a batch fixed up front; a network
-//! service cannot work that way — clients submit jobs at any time, watch
-//! their progress, and cancel mid-search. `JobRegistry` is the layer
-//! that turns the batch server into that service:
+//! `JobRegistry` is the one job runner: clients submit jobs at any time,
+//! watch their progress, and cancel mid-search, while its workers run
+//! each claimed job through the shared [`SearchServer`]:
 //!
 //! * **Submit at runtime** — every submission is one [`SubmitRequest`]
 //!   (job specs plus optional tenant, trace context and idempotency
@@ -100,7 +99,7 @@ impl std::fmt::Display for JobStatus {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubmitError {
     /// The spec or manifest itself is unacceptable (bad name, zero
-    /// threads, parse error, `[server]` overrides).
+    /// threads, parse error, unknown section or key).
     Invalid(String),
     /// The spec names a tenant the service's roster does not list (only
     /// possible when a non-empty [`ServerConfig::tenants`] roster is
@@ -166,19 +165,9 @@ impl SubmitRequest {
     ///
     /// # Errors
     ///
-    /// [`SubmitError::Invalid`] on a parse error or a `[server]`
-    /// section (service knobs cannot be changed through the runtime
-    /// submit path).
+    /// [`SubmitError::Invalid`] on a parse error.
     pub fn manifest(text: &str) -> Result<SubmitRequest, SubmitError> {
-        let manifest = crate::manifest::parse_manifest(text)?;
-        if manifest.server != crate::manifest::ServerOverrides::default() {
-            return Err(SubmitError::Invalid(
-                "[server] overrides are not accepted at runtime (a live service's \
-                 workers/cache are fixed at startup; configure them via CLI flags)"
-                    .to_owned(),
-            ));
-        }
-        Ok(manifest.jobs.into())
+        Ok(crate::manifest::parse_manifest(text)?.into())
     }
 }
 
@@ -666,7 +655,7 @@ impl JobRegistry {
         Ok(JobRegistry { inner, handles: Mutex::new(handles) })
     }
 
-    /// The underlying batch server (its config and cache stats).
+    /// The shared search server (its config and cache stats).
     pub fn server(&self) -> &SearchServer {
         &self.inner.server
     }
@@ -1509,6 +1498,117 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         panic!("job {id} never finished");
+    }
+
+    /// The report of a job that ran to `done`.
+    fn done_report(registry: &JobRegistry, id: JobId) -> JobReport {
+        let view = wait_done(registry, id);
+        assert_eq!(view.status, JobStatus::Done, "{}", view.name);
+        view.report.expect("a done job has a report")
+    }
+
+    fn best_bits(report: &JobReport) -> Option<u64> {
+        report.best.as_ref().map(|b| b.cost.to_bits())
+    }
+
+    #[test]
+    fn batch_reports_come_back_in_submission_order() {
+        let registry =
+            JobRegistry::start(ServerConfig { workers: 3, ..ServerConfig::default() }, None)
+                .unwrap();
+        let algorithms = [
+            JobAlgorithm::DiGamma,
+            JobAlgorithm::Baseline(digamma_opt::Algorithm::Random),
+            JobAlgorithm::Gamma(digamma::schemes::HwPreset::MediumBufCom),
+        ];
+        let specs = ["a", "b", "c"]
+            .into_iter()
+            .zip(algorithms)
+            .map(|(name, algorithm)| JobSpec { algorithm, ..spec(name, 120) })
+            .collect::<Vec<_>>();
+        let ids = registry.submit(specs).unwrap();
+        assert_eq!(ids, vec![1, 2, 3]);
+        let reports: Vec<JobReport> = ids.iter().map(|&id| done_report(&registry, id)).collect();
+        assert_eq!(reports.iter().map(|r| r.name.as_str()).collect::<Vec<_>>(), ["a", "b", "c"]);
+        for r in &reports {
+            assert_eq!(r.samples, 120, "{}", r.name);
+        }
+        assert!(reports[0].generations > 0);
+        assert!(reports[2].generations > 0);
+        assert_eq!(reports[1].generations, 0, "baselines do not step generations");
+        registry.shutdown();
+    }
+
+    #[test]
+    fn concurrent_execution_matches_serial_execution() {
+        let specs: Vec<JobSpec> =
+            (0..4).map(|i| JobSpec { seed: 5 + i, ..spec(&format!("job-{i}"), 120) }).collect();
+        let serial = SearchServer::new(ServerConfig { cache_capacity: 0, ..Default::default() });
+        let registry = JobRegistry::start(
+            ServerConfig { workers: 4, cache_capacity: 1 << 16, ..ServerConfig::default() },
+            None,
+        )
+        .unwrap();
+        let ids = registry.submit(specs.clone()).unwrap();
+        for (spec, id) in specs.iter().zip(ids) {
+            assert_eq!(
+                best_bits(&serial.run_job(spec)),
+                best_bits(&done_report(&registry, id)),
+                "caching/concurrency must not change results ({})",
+                spec.name
+            );
+        }
+        registry.shutdown();
+    }
+
+    #[test]
+    fn manifest_batch_serves_an_identical_rerun_warm() {
+        // Two identical co-design searches, a mapping-only GAMMA job on
+        // a fixed preset and a black-box baseline, in one batch.
+        let manifest = "\
+[job]
+name = ncf-edge-latency
+model = ncf
+budget = 400
+seed = 1
+population = 16
+
+[job]
+name = ncf-edge-latency-rerun
+model = ncf
+budget = 400
+seed = 1
+population = 16
+
+[job]
+name = ncf-edge-gamma
+model = ncf
+algorithm = gamma:medium
+budget = 300
+seed = 2
+population = 16
+
+[job]
+name = dlrm-edge-cma
+model = dlrm
+algorithm = cma
+budget = 200
+seed = 3
+";
+        let registry =
+            JobRegistry::start(ServerConfig { workers: 1, ..ServerConfig::default() }, None)
+                .unwrap();
+        let ids = registry.submit(SubmitRequest::manifest(manifest).unwrap()).unwrap();
+        let reports: Vec<JobReport> = ids.iter().map(|&id| done_report(&registry, id)).collect();
+        for (report, budget) in reports.iter().zip([400, 400, 300, 200]) {
+            assert_eq!(report.samples, budget, "{}", report.name);
+        }
+        let (first, rerun) = (&reports[0], &reports[1]);
+        assert_eq!(rerun.genome_misses, 0, "one worker runs the rerun after the first search");
+        assert!(rerun.genome_hits > 0);
+        assert!(best_bits(first).is_some());
+        assert_eq!(best_bits(first), best_bits(rerun), "a warm rerun must not change the result");
+        registry.shutdown();
     }
 
     #[test]

@@ -200,24 +200,33 @@ fn concurrent_workers_never_see_torn_results() {
 
     let shared = Arc::new(ShardedFitnessCache::with_shards(8, 2));
     let cached = problem().with_cache(Arc::clone(&shared) as Arc<dyn EvalCache>);
-    let workers = 8;
-    digamma::scoped_workers(workers, |w| {
-        // Each worker sweeps the genomes several times from a different
-        // starting offset, so lookups, stores, and evictions interleave.
-        for round in 0..4 {
-            for i in 0..genomes.len() {
-                let idx = (i + w * 7 + round * 13) % genomes.len();
-                let eval = cached.evaluate(&genomes[idx]);
-                let truth = &truths[idx];
-                assert_eq!(eval.cost.to_bits(), truth.cost.to_bits(), "genome {idx}");
-                assert_eq!(
-                    eval.latency_cycles.to_bits(),
-                    truth.latency_cycles.to_bits(),
-                    "genome {idx}"
-                );
-                assert_eq!(eval.energy_pj.to_bits(), truth.energy_pj.to_bits(), "genome {idx}");
-                assert_eq!(eval.hw, truth.hw, "genome {idx}");
-            }
+    std::thread::scope(|scope| {
+        for w in 0..8 {
+            let (cached, genomes, truths) = (&cached, &genomes, &truths);
+            scope.spawn(move || {
+                // Each worker sweeps the genomes several times from a
+                // different starting offset, so lookups, stores, and
+                // evictions interleave.
+                for round in 0..4 {
+                    for i in 0..genomes.len() {
+                        let idx = (i + w * 7 + round * 13) % genomes.len();
+                        let eval = cached.evaluate(&genomes[idx]);
+                        let truth = &truths[idx];
+                        assert_eq!(eval.cost.to_bits(), truth.cost.to_bits(), "genome {idx}");
+                        assert_eq!(
+                            eval.latency_cycles.to_bits(),
+                            truth.latency_cycles.to_bits(),
+                            "genome {idx}"
+                        );
+                        assert_eq!(
+                            eval.energy_pj.to_bits(),
+                            truth.energy_pj.to_bits(),
+                            "genome {idx}"
+                        );
+                        assert_eq!(eval.hw, truth.hw, "genome {idx}");
+                    }
+                }
+            });
         }
     });
     let stats = shared.stats();
