@@ -2,7 +2,7 @@
 
 use crate::objective::Objective;
 use digamma_costmodel::{
-    CostReport, EvalError, Evaluator, HwConfig, Mapping, Platform, StableHasher,
+    EvalError, Evaluator, HwConfig, LayerCost, Mapping, Platform, StableHasher,
 };
 use digamma_encoding::Genome;
 use digamma_obs::{
@@ -183,20 +183,16 @@ pub enum Constraint {
 ///
 /// Implementations map the stable key from
 /// [`Evaluator::cache_key`](digamma_costmodel::Evaluator::cache_key) to
-/// the [`CostReport`] that evaluation produced. A hit must return a
-/// report identical to what the cost model would compute — evaluation is
-/// pure, so storing and replaying reports is semantics-preserving; the
+/// the [`LayerCost`] that evaluation produced. A hit must return a value
+/// identical to what the cost model would compute — evaluation is pure,
+/// so storing and replaying it is semantics-preserving; the
 /// `digamma-server` crate's sharded fitness cache is the production
 /// implementation and property-tests exactly that equivalence.
-///
-/// Reports travel as [`Arc`]s so a hit is a refcount bump, never a deep
-/// clone — the cache's whole point is to be much cheaper than the cost
-/// model.
 pub trait EvalCache: std::fmt::Debug + Send + Sync {
-    /// Returns the memoized report for `key`, if present.
-    fn lookup(&self, key: u64) -> Option<Arc<CostReport>>;
-    /// Memoizes `report` under `key` (implementations may evict).
-    fn store(&self, key: u64, report: &Arc<CostReport>);
+    /// Returns the memoized cost for `key`, if present.
+    fn lookup(&self, key: u64) -> Option<LayerCost>;
+    /// Memoizes `cost` under `key` (implementations may evict).
+    fn store(&self, key: u64, cost: LayerCost);
 }
 
 /// A shared, thread-safe memo for **whole-genome** evaluations: the
@@ -612,17 +608,17 @@ impl CoOptProblem {
             m.evals.add(results.len() as u64);
         }
 
-        // Layer 3: aggregate each miss from its slots' reports. A slot
-        // without a report (its layer failed, or a lone miss stopped
+        // Layer 3: aggregate each miss from its slots' costs. A slot
+        // without a cost (its layer failed, or a lone miss stopped
         // before it) makes the genome invalid.
-        let report = |flat: usize| {
+        let cost = |flat: usize| {
             let slot = if lone { flat } else { layout[flat] };
-            results.get(slot).and_then(Option::as_deref)
+            results.get(slot).copied().flatten()
         };
         for (mi, miss) in misses.iter().enumerate() {
             let per_genome = mi * layers..(mi + 1) * layers;
-            let evaluation = if per_genome.clone().all(|flat| report(flat).is_some()) {
-                self.aggregate(miss.fanouts, &miss.mappings, per_genome.filter_map(report))
+            let evaluation = if per_genome.clone().all(|flat| cost(flat).is_some()) {
+                self.aggregate(miss.fanouts, &miss.mappings, per_genome.filter_map(cost))
             } else {
                 Self::invalid_evaluation(miss.fanouts.to_vec())
             };
@@ -642,8 +638,8 @@ impl CoOptProblem {
         misses: &[Miss<'_>],
         work: &[(usize, &Mapping, u64)],
         threads: usize,
-        eval: impl Fn(usize, &Mapping, Option<u64>) -> Option<Arc<CostReport>> + Sync,
-    ) -> Vec<Option<Arc<CostReport>>> {
+        eval: impl Fn(usize, &Mapping, Option<u64>) -> Option<LayerCost> + Sync,
+    ) -> Vec<Option<LayerCost>> {
         match misses {
             [lone] => {
                 let mut results = Vec::with_capacity(lone.mappings.len());
@@ -789,22 +785,22 @@ impl CoOptProblem {
         mappings: &[Mapping],
     ) -> Result<DesignEvaluation, EvalError> {
         assert_eq!(mappings.len(), self.unique.len(), "one mapping per unique layer");
-        let mut reports = Vec::with_capacity(mappings.len());
+        let mut costs = Vec::with_capacity(mappings.len());
         for (li, mapping) in mappings.iter().enumerate() {
-            reports.push(self.evaluate_layer(li, mapping, None)?);
+            costs.push(self.evaluate_layer(li, mapping, None)?);
         }
-        Ok(self.aggregate(fanouts, mappings, reports.iter().map(Arc::as_ref)))
+        Ok(self.aggregate(fanouts, mappings, costs))
     }
 
-    /// Combines per-layer cost reports into one design evaluation: sum
+    /// Combines per-layer costs into one design evaluation: sum
     /// latency/energy weighted by layer multiplicity, derive the
     /// minimum-footprint hardware (or check the fixed one), and score
     /// against the area budget.
-    fn aggregate<'r>(
+    fn aggregate(
         &self,
         fanouts: &[u64],
         mappings: &[Mapping],
-        reports: impl IntoIterator<Item = &'r CostReport>,
+        costs: impl IntoIterator<Item = LayerCost>,
     ) -> DesignEvaluation {
         let mut latency = 0.0;
         let mut energy = 0.0;
@@ -816,13 +812,13 @@ impl CoOptProblem {
         };
         let mut fits_fixed = true;
 
-        for ((u, mapping), report) in self.unique.iter().zip(mappings).zip(reports) {
-            latency += report.latency_cycles * u.count as f64;
-            energy += report.energy_pj * u.count as f64;
+        for ((u, mapping), cost) in self.unique.iter().zip(mappings).zip(costs) {
+            latency += cost.latency_cycles * u.count as f64;
+            energy += cost.energy_pj * u.count as f64;
             if let Constraint::FixedHw(hw) = &self.constraint {
-                fits_fixed &= hw.accommodates(&mapping.pe_shape(), &report.buffers);
+                fits_fixed &= hw.accommodates(&mapping.pe_shape(), &cost.buffers);
             }
-            derived.grow_to_fit(&report.buffers);
+            derived.grow_to_fit(&cost.buffers);
         }
 
         // The hardware that must exist: the fixed one, or the derived
@@ -867,18 +863,18 @@ impl CoOptProblem {
         li: usize,
         mapping: &Mapping,
         key: Option<u64>,
-    ) -> Result<Arc<CostReport>, EvalError> {
+    ) -> Result<LayerCost, EvalError> {
         let layer = &self.unique[li].layer;
         let Some(cache) = &self.cache else {
-            return Ok(Arc::new(self.evaluator.evaluate(layer, mapping)?));
+            return self.evaluator.layer_cost(layer, mapping);
         };
         let key = key.unwrap_or_else(|| self.evaluator.cache_key(layer, mapping));
-        if let Some(report) = cache.lookup(key) {
-            return Ok(report);
+        if let Some(cost) = cache.lookup(key) {
+            return Ok(cost);
         }
-        let report = Arc::new(self.evaluator.evaluate(layer, mapping)?);
-        cache.store(key, &report);
-        Ok(report)
+        let cost = self.evaluator.layer_cost(layer, mapping)?;
+        cache.store(key, cost);
+        Ok(cost)
     }
 }
 
@@ -913,14 +909,14 @@ mod tests {
 
     /// A test per-layer cache: a plain locked map.
     #[derive(Debug, Default)]
-    struct MapCache(std::sync::Mutex<HashMap<u64, Arc<CostReport>>>);
+    struct MapCache(std::sync::Mutex<HashMap<u64, LayerCost>>);
 
     impl EvalCache for MapCache {
-        fn lookup(&self, key: u64) -> Option<Arc<CostReport>> {
-            self.0.lock().unwrap().get(&key).cloned()
+        fn lookup(&self, key: u64) -> Option<LayerCost> {
+            self.0.lock().unwrap().get(&key).copied()
         }
-        fn store(&self, key: u64, report: &Arc<CostReport>) {
-            self.0.lock().unwrap().insert(key, Arc::clone(report));
+        fn store(&self, key: u64, cost: LayerCost) {
+            self.0.lock().unwrap().insert(key, cost);
         }
     }
 

@@ -36,7 +36,7 @@ impl HwConfig {
         HwConfig {
             fanouts,
             l2_words: buffers.l2_words,
-            mid_words_per_unit: buffers.mid_words_per_unit.clone(),
+            mid_words_per_unit: buffers.mid_words_per_unit.into_iter().collect(),
             l1_words_per_pe: buffers.l1_words_per_pe,
         }
     }
@@ -54,14 +54,11 @@ impl HwConfig {
         if buffers.l2_words > self.l2_words || buffers.l1_words_per_pe > self.l1_words_per_pe {
             return false;
         }
-        if buffers.mid_words_per_unit.len() != self.mid_words_per_unit.len() {
-            return false;
+        match (buffers.mid_words_per_unit, self.mid_words_per_unit.as_slice()) {
+            (None, []) => true,
+            (Some(need), [have]) => need <= *have,
+            _ => false,
         }
-        buffers
-            .mid_words_per_unit
-            .iter()
-            .zip(&self.mid_words_per_unit)
-            .all(|(need, have)| need <= have)
     }
 
     /// Takes the entry-wise maximum of buffer capacities with another
@@ -70,8 +67,10 @@ impl HwConfig {
     pub fn grow_to_fit(&mut self, buffers: &BufferRequirement) {
         self.l2_words = self.l2_words.max(buffers.l2_words);
         self.l1_words_per_pe = self.l1_words_per_pe.max(buffers.l1_words_per_pe);
-        for (have, need) in self.mid_words_per_unit.iter_mut().zip(&buffers.mid_words_per_unit) {
-            *have = (*have).max(*need);
+        if let (Some(have), Some(need)) =
+            (self.mid_words_per_unit.first_mut(), buffers.mid_words_per_unit)
+        {
+            *have = (*have).max(need);
         }
     }
 }
@@ -137,7 +136,7 @@ mod tests {
     use super::*;
 
     fn buffers(l2: u64, l1: u64) -> BufferRequirement {
-        BufferRequirement { l2_words: l2, mid_words_per_unit: vec![], l1_words_per_pe: l1 }
+        BufferRequirement { l2_words: l2, mid_words_per_unit: None, l1_words_per_pe: l1 }
     }
 
     #[test]
@@ -154,6 +153,16 @@ mod tests {
         assert!(!hw.accommodates(&[8, 8], &buffers(1001, 10)), "L2 overflow");
         assert!(!hw.accommodates(&[8, 8], &buffers(10, 51)), "L1 overflow");
         assert!(!hw.accommodates(&[8], &buffers(10, 10)), "level mismatch");
+        let deep = HwConfig {
+            fanouts: vec![2, 4, 4],
+            l2_words: 1000,
+            mid_words_per_unit: vec![100],
+            l1_words_per_pe: 50,
+        };
+        let mid = |words| BufferRequirement { mid_words_per_unit: Some(words), ..buffers(10, 10) };
+        assert!(deep.accommodates(&[2, 4, 4], &mid(100)));
+        assert!(!deep.accommodates(&[2, 4, 4], &mid(101)), "mid overflow");
+        assert!(!deep.accommodates(&[2, 4, 4], &buffers(10, 10)), "mid level missing");
     }
 
     #[test]
@@ -167,6 +176,9 @@ mod tests {
         hw.grow_to_fit(&buffers(50, 20));
         assert_eq!(hw.l2_words, 100);
         assert_eq!(hw.l1_words_per_pe, 20);
+        let mut deep = HwConfig { mid_words_per_unit: vec![7], ..hw };
+        deep.grow_to_fit(&BufferRequirement { mid_words_per_unit: Some(9), ..buffers(0, 0) });
+        assert_eq!(deep.mid_words_per_unit, vec![9]);
     }
 
     #[test]

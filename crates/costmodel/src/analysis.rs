@@ -45,7 +45,7 @@
 //! a deliberate simplification shared with the paper's Fig. 3(f) formulas.
 
 use crate::error::EvalError;
-use crate::mapping::Mapping;
+use crate::mapping::{Mapping, MAX_LEVELS};
 use digamma_workload::{tensor_footprint, Dim, DimVec, Layer, Tensor, NUM_DIMS};
 use serde::{Deserialize, Serialize};
 
@@ -83,31 +83,21 @@ pub struct LevelAnalysis {
 }
 
 /// Minimum buffer capacities implied by a mapping (DiGamma's buffer
-/// allocation strategy sizes buffers to exactly these values).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// allocation strategy sizes buffers to exactly these values). A mapping
+/// has at most [`MAX_LEVELS`] levels, so at most one middle buffer: the
+/// requirement is a plain `Copy` value with no heap.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BufferRequirement {
     /// Global (L2) buffer capacity in words.
     pub l2_words: u64,
-    /// Per-unit capacity of each middle-level buffer, outermost first
-    /// (empty for 2-level mappings).
-    pub mid_words_per_unit: Vec<u64>,
+    /// Per-unit capacity of the middle-level buffer (`None` for 2-level
+    /// mappings).
+    pub mid_words_per_unit: Option<u64>,
     /// Per-PE local (L1) buffer capacity in words.
     pub l1_words_per_pe: u64,
 }
 
-impl BufferRequirement {
-    /// Total on-chip words given the fan-outs of the mapping levels.
-    pub fn total_words(&self, fanouts: &[u64]) -> u64 {
-        let mut total = self.l2_words;
-        let mut units = 1u64;
-        for (i, &mid) in self.mid_words_per_unit.iter().enumerate() {
-            units = units.saturating_mul(fanouts[i]);
-            total = total.saturating_add(mid.saturating_mul(units));
-        }
-        let pes: u64 = fanouts.iter().product();
-        total.saturating_add(self.l1_words_per_pe.saturating_mul(pes))
-    }
-}
+const _: () = assert!(MAX_LEVELS <= 3, "BufferRequirement holds at most one middle buffer");
 
 /// Full reuse-analysis output for one `(layer, mapping)` pair.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -190,8 +180,7 @@ pub(crate) fn analyze_into(
     // Chip-wide distinct output tiles at the current granularity.
     let mut cum_distinct_out: u128 = 1;
 
-    let mut mid_words_per_unit = std::mem::take(&mut out.buffers.mid_words_per_unit);
-    mid_words_per_unit.clear();
+    let mut mid_words_per_unit = None;
     let mut l2_words = 0u64;
 
     for (idx, level) in mapping.levels().iter().enumerate() {
@@ -239,7 +228,7 @@ pub(crate) fn analyze_into(
         if idx == 0 {
             l2_words = stacked_words;
         } else if idx < num_levels - 1 {
-            mid_words_per_unit.push(stacked_words);
+            mid_words_per_unit = Some(stacked_words);
         } else if num_levels == 1 {
             // Degenerate single-level mapping: L2 is the stacked tile and
             // was set above; nothing to do here.
@@ -459,7 +448,7 @@ mod tests {
             .sum();
         assert_eq!(a.buffers.l1_words_per_pe, expected_l1);
         assert!(a.buffers.l2_words >= expected_l1);
-        assert!(a.buffers.mid_words_per_unit.is_empty());
+        assert!(a.buffers.mid_words_per_unit.is_none());
     }
 
     #[test]
@@ -474,7 +463,7 @@ mod tests {
             LevelSpec { fanout: 8, spatial_dim: Dim::X, order: Dim::ALL, tile: t1 },
         ]);
         let a = analyze(&l, &m).unwrap();
-        assert_eq!(a.buffers.mid_words_per_unit.len(), 1);
+        assert!(a.buffers.mid_words_per_unit.is_some());
         assert_eq!(a.num_pes, 128);
         assert_eq!(a.levels.len(), 3);
     }

@@ -1,4 +1,5 @@
-//! The evaluator front door: `(layer, mapping) → CostReport`.
+//! The evaluator front door: `(layer, mapping) → CostReport` (or the
+//! compact `LayerCost` the search carries).
 
 use crate::accelerator::{HwConfig, Platform};
 use crate::analysis::{analyze, analyze_into};
@@ -7,7 +8,7 @@ use crate::energy::{EnergyModel, ENERGY_MODEL_DEFAULT};
 use crate::error::EvalError;
 use crate::latency::latency;
 use crate::mapping::Mapping;
-use crate::report::CostReport;
+use crate::report::{CostReport, LayerCost};
 use crate::scratch::EvalScratch;
 use digamma_workload::Layer;
 use std::cell::RefCell;
@@ -19,6 +20,16 @@ thread_local! {
     /// worker threads, so it cannot own the scratch itself without a lock
     /// on the hot path.)
     static THREAD_SCRATCH: RefCell<EvalScratch> = RefCell::new(EvalScratch::new());
+}
+
+/// Runs `f` on this thread's `THREAD_SCRATCH`.
+fn with_thread_scratch<R>(f: impl FnOnce(&mut EvalScratch) -> R) -> R {
+    THREAD_SCRATCH.with(|scratch| match scratch.try_borrow_mut() {
+        Ok(mut scratch) => f(&mut scratch),
+        // Unreachable in practice (evaluation never re-enters), but a
+        // fresh scratch keeps even that case correct.
+        Err(_) => f(&mut EvalScratch::new()),
+    })
 }
 
 /// Evaluates `(layer, mapping)` pairs on a platform.
@@ -128,11 +139,28 @@ impl Evaluator {
     /// the layer. Over-budget designs still evaluate — the constraint
     /// checker upstream decides their fate.
     pub fn evaluate(&self, layer: &Layer, mapping: &Mapping) -> Result<CostReport, EvalError> {
-        THREAD_SCRATCH.with(|scratch| match scratch.try_borrow_mut() {
-            Ok(mut scratch) => self.evaluate_with_scratch(layer, mapping, &mut scratch),
-            // Unreachable in practice (evaluation never re-enters), but
-            // a fresh scratch keeps even that case correct.
-            Err(_) => self.evaluate_with_scratch(layer, mapping, &mut EvalScratch::new()),
+        with_thread_scratch(|scratch| self.evaluate_with_scratch(layer, mapping, scratch))
+    }
+
+    /// The search's evaluation: the three fields of
+    /// [`Evaluator::evaluate`]'s report that design aggregation reads,
+    /// bit-identical to them, filled straight from the reuse analysis on
+    /// the per-thread scratch. Skips the report's latency breakdown,
+    /// traffic, derived hardware and area, so it allocates nothing
+    /// beyond the latency model's per-link vector.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EvalError`] when the mapping is structurally invalid.
+    pub fn layer_cost(&self, layer: &Layer, mapping: &Mapping) -> Result<LayerCost, EvalError> {
+        with_thread_scratch(|scratch| {
+            analyze_into(layer, mapping, scratch.analysis_mut())?;
+            let analysis = scratch.analysis();
+            Ok(LayerCost {
+                latency_cycles: latency(analysis, &self.platform).total_cycles,
+                energy_pj: self.energy_model.energy_pj(analysis),
+                buffers: analysis.buffers,
+            })
         })
     }
 
@@ -159,7 +187,7 @@ impl Evaluator {
         let energy = self.energy_model.energy_pj(analysis);
         let area = self.area_model.area_um2(&hw);
         let pe_area = self.area_model.pe_area_um2(&hw);
-        Ok(CostReport::assemble_from_ref(analysis, lat, energy, area, pe_area, hw))
+        Ok(CostReport::assemble(analysis, lat, energy, area, pe_area, hw))
     }
 
     /// The pre-scratch **allocating reference path**, kept verbatim (it
@@ -210,7 +238,7 @@ impl Evaluator {
         let energy = self.energy_model.energy_pj(&analysis);
         let area = self.area_model.area_um2(&hw);
         let pe_area = self.area_model.pe_area_um2(&hw);
-        Ok(CostReport::assemble(analysis, lat, energy, area, pe_area, hw))
+        Ok(CostReport::assemble(&analysis, lat, energy, area, pe_area, hw))
     }
 }
 
@@ -307,6 +335,37 @@ mod tests {
                         let context = format!("{}/{}", model.name(), layer.name());
                         assert_bit_identical(&baseline, &scratched, &context);
                         assert_bit_identical(&baseline, &threaded, &context);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn layer_cost_is_bit_identical_to_the_reports_fields() {
+        // The search's compact value must carry exactly the three
+        // fields aggregation reads from the full report, for every zoo
+        // layer on both platforms and both PE-array orientations.
+        for platform in [Platform::edge(), Platform::cloud()] {
+            let eval = Evaluator::new(platform);
+            for model in zoo::all_models() {
+                for layer in model.layers() {
+                    for (rows, cols) in [(4, 8), (8, 4)] {
+                        let m = Mapping::row_major_example(layer, rows, cols);
+                        let report = eval.evaluate(layer, &m).unwrap();
+                        let cost = eval.layer_cost(layer, &m).unwrap();
+                        let context = format!("{}/{}", model.name(), layer.name());
+                        assert_eq!(
+                            cost.latency_cycles.to_bits(),
+                            report.latency_cycles.to_bits(),
+                            "{context}"
+                        );
+                        assert_eq!(
+                            cost.energy_pj.to_bits(),
+                            report.energy_pj.to_bits(),
+                            "{context}"
+                        );
+                        assert_eq!(cost.buffers, report.buffers, "{context}");
                     }
                 }
             }

@@ -15,7 +15,7 @@
 //! * [`energy`] — access counts × per-access energy (Eyeriss-style ratios),
 //! * [`area`] — the synthesized-RTL area substitute (see `DESIGN.md`),
 //! * [`Evaluator`] — the front door: `(layer, mapping, platform) →`
-//!   [`CostReport`].
+//!   [`CostReport`], or the compact [`LayerCost`] the search carries.
 //!
 //! # Example
 //!
@@ -56,5 +56,5 @@ pub use energy::{EnergyModel, ENERGY_MODEL_DEFAULT};
 pub use error::EvalError;
 pub use eval::Evaluator;
 pub use mapping::{LevelSpec, Mapping, MAX_LEVELS};
-pub use report::CostReport;
+pub use report::{CostReport, LayerCost};
 pub use scratch::EvalScratch;

@@ -6,6 +6,27 @@ use crate::latency::LatencyBreakdown;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
+/// What the search keeps of one `(layer, mapping)` evaluation: the three
+/// fields design aggregation reads (latency and energy to sum, buffer
+/// needs to size the hardware). It is what every cache, batch slot and
+/// spill entry holds; callers wanting the full breakdown re-evaluate the
+/// layer into a [`CostReport`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LayerCost {
+    /// End-to-end latency in cycles.
+    pub latency_cycles: f64,
+    /// Total energy in pJ.
+    pub energy_pj: f64,
+    /// Minimum buffer capacities the mapping needs.
+    pub buffers: BufferRequirement,
+}
+
+const _: () = {
+    const fn copy<T: Copy>() {}
+    copy::<LayerCost>();
+    assert!(std::mem::size_of::<LayerCost>() <= 48, "LayerCost stays small and inline");
+};
+
 /// Everything the framework needs to score one `(layer, mapping)` pair on
 /// a platform: performance, energy, area, and the derived hardware.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -49,33 +70,10 @@ impl CostReport {
         (pe, 100.0 - pe)
     }
 
-    /// Builds the report from the analysis pieces.
+    /// Builds the report from the analysis pieces. The analysis is
+    /// borrowed, so the scratch evaluation path keeps its reusable
+    /// [`Analysis`]; the report copies only the small pieces it owns.
     pub(crate) fn assemble(
-        analysis: Analysis,
-        latency: LatencyBreakdown,
-        energy_pj: f64,
-        area_um2: f64,
-        pe_area_um2: f64,
-        hw: HwConfig,
-    ) -> CostReport {
-        CostReport {
-            latency_cycles: latency.total_cycles,
-            latency,
-            energy_pj,
-            area_um2,
-            pe_area_um2,
-            hw,
-            buffers: analysis.buffers,
-            traffic: analysis.levels.iter().map(|l| l.traffic).collect(),
-            utilization: analysis.utilization,
-            macs: analysis.macs_total,
-        }
-    }
-
-    /// [`CostReport::assemble`] from a *borrowed* analysis — the scratch
-    /// evaluation path keeps its reusable [`Analysis`] and clones only
-    /// the small pieces the report must own.
-    pub(crate) fn assemble_from_ref(
         analysis: &Analysis,
         latency: LatencyBreakdown,
         energy_pj: f64,
@@ -90,7 +88,7 @@ impl CostReport {
             area_um2,
             pe_area_um2,
             hw,
-            buffers: analysis.buffers.clone(),
+            buffers: analysis.buffers,
             traffic: analysis.levels.iter().map(|l| l.traffic).collect(),
             utilization: analysis.utilization,
             macs: analysis.macs_total,

@@ -9,10 +9,10 @@
 //! ```
 //!
 //! Every line carries `trace=`/`span=` fields — the ids of the active
-//! [`SpanContext`](crate::SpanContext) when the caller has one, `-`
-//! otherwise — so a grep for a trace id walks a request's log lines and
-//! its span timeline together. Values are quoted only when they contain
-//! whitespace, quotes, or `=`, so the common case stays clean.
+//! [`SpanContext`] when the caller has one, `-` otherwise — so a grep
+//! for a trace id walks a request's log lines and its span timeline
+//! together. Values are quoted only when they contain whitespace,
+//! quotes, or `=`, so the common case stays clean.
 
 use crate::trace::SpanContext;
 use std::fmt::Write as _;

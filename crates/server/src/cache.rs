@@ -6,9 +6,11 @@
 //! different users ask about the same models. This module memoizes at
 //! two granularities over one shared sharded-map core:
 //!
-//! * [`ShardedFitnessCache`] — per-layer [`CostReport`]s under the
+//! * [`ShardedFitnessCache`] — per-layer [`LayerCost`]s under the
 //!   stable key from [`digamma_costmodel::Evaluator::cache_key`]; hits
-//!   skip one cost-model call.
+//!   skip one cost-model call. A `LayerCost` is the latency, energy and
+//!   buffer needs that design aggregation reads, a `Copy` value stored
+//!   inline in the map: a hit is a copy, with no refcount and no heap.
 //! * [`ShardedGenomeMemo`] — whole-genome [`DesignEvaluation`]s under
 //!   [`digamma::CoOptProblem::genome_key`]; hits skip the entire
 //!   decode → per-layer loop → aggregate pipeline.
@@ -31,7 +33,7 @@
 //!   [`LayerMeters`], the cells `/stats` and `/metrics` both read.
 
 use digamma::{DesignEvaluation, EvalCache, GenomeMemo};
-use digamma_costmodel::CostReport;
+use digamma_costmodel::LayerCost;
 use digamma_obs::{Counter, Histogram, MetricsRegistry, SampleTick, DEFAULT_LATENCY_BUCKETS};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -74,11 +76,11 @@ impl fmt::Display for EvictionPolicy {
 /// A point-in-time view of a cache's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Lookups that found a memoized report.
+    /// Lookups that found a memoized entry.
     pub hits: u64,
     /// Lookups that missed.
     pub misses: u64,
-    /// Reports stored (first insertion of a key).
+    /// Entries stored (first insertion of a key).
     pub insertions: u64,
     /// Entries dropped to respect the capacity bound.
     pub evictions: u64,
@@ -273,12 +275,12 @@ impl<V: Clone> ShardedMemo<V> {
 /// The shared per-layer fitness memo: see the module docs.
 #[derive(Debug)]
 pub struct ShardedFitnessCache {
-    memo: ShardedMemo<Arc<CostReport>>,
+    memo: ShardedMemo<LayerCost>,
 }
 
 impl ShardedFitnessCache {
     /// Creates a FIFO-evicting cache bounded to roughly `capacity`
-    /// reports total, with the default shard count.
+    /// entries total, with the default shard count.
     pub fn new(capacity: usize) -> ShardedFitnessCache {
         ShardedFitnessCache::with_shards_and_policy(capacity, DEFAULT_SHARDS, EvictionPolicy::Fifo)
     }
@@ -315,12 +317,12 @@ impl ShardedFitnessCache {
         self.memo.len()
     }
 
-    /// True when no reports are resident.
+    /// True when no entries are resident.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Maximum resident reports (shard capacity × shard count).
+    /// Maximum resident entries (shard capacity × shard count).
     pub fn capacity(&self) -> usize {
         self.memo.capacity()
     }
@@ -331,20 +333,20 @@ impl ShardedFitnessCache {
         self.memo.stats()
     }
 
-    /// A point-in-time copy of every resident `(key, report)` pair —
+    /// A point-in-time copy of every resident `(key, cost)` pair —
     /// what the disk spill persists.
-    pub fn entries(&self) -> Vec<(u64, Arc<CostReport>)> {
+    pub fn entries(&self) -> Vec<(u64, LayerCost)> {
         self.memo.entries()
     }
 }
 
 impl EvalCache for ShardedFitnessCache {
-    fn lookup(&self, key: u64) -> Option<Arc<CostReport>> {
+    fn lookup(&self, key: u64) -> Option<LayerCost> {
         self.memo.lookup(key)
     }
 
-    fn store(&self, key: u64, report: &Arc<CostReport>) {
-        self.memo.store(key, Arc::clone(report));
+    fn store(&self, key: u64, cost: LayerCost) {
+        self.memo.store(key, cost);
     }
 }
 
@@ -562,13 +564,13 @@ impl<C> JobCacheView<C> {
 }
 
 impl EvalCache for JobCacheView<ShardedFitnessCache> {
-    fn lookup(&self, key: u64) -> Option<Arc<CostReport>> {
+    fn lookup(&self, key: u64) -> Option<LayerCost> {
         self.probe(|shared| shared.lookup(key))
     }
 
-    fn store(&self, key: u64, report: &Arc<CostReport>) {
+    fn store(&self, key: u64, cost: LayerCost) {
         self.count_store();
-        self.shared.store(key, report);
+        self.shared.store(key, cost);
     }
 }
 
@@ -590,24 +592,23 @@ mod tests {
     use digamma_costmodel::{Evaluator, Mapping, Platform};
     use digamma_workload::{zoo, Layer};
 
-    fn report_for(rows: u64, cols: u64) -> (u64, Arc<CostReport>) {
+    fn cost_for(rows: u64, cols: u64) -> (u64, LayerCost) {
         let layer = Layer::conv("l", 64, 32, 16, 16, 3, 3, 1);
         let mapping = Mapping::row_major_example(&layer, rows, cols);
         let eval = Evaluator::new(Platform::edge());
-        (eval.cache_key(&layer, &mapping), Arc::new(eval.evaluate(&layer, &mapping).unwrap()))
+        (eval.cache_key(&layer, &mapping), eval.layer_cost(&layer, &mapping).unwrap())
     }
 
     #[test]
     fn lookup_returns_exactly_what_was_stored() {
         let cache = ShardedFitnessCache::new(100);
-        let (key, report) = report_for(8, 4);
+        let (key, cost) = cost_for(8, 4);
         assert!(cache.lookup(key).is_none());
-        cache.store(key, &report);
+        cache.store(key, cost);
         let back = cache.lookup(key).expect("stored");
-        assert_eq!(back.latency_cycles.to_bits(), report.latency_cycles.to_bits());
-        assert_eq!(back.energy_pj.to_bits(), report.energy_pj.to_bits());
-        assert_eq!(back.buffers, report.buffers);
-        assert_eq!(back.hw, report.hw);
+        assert_eq!(back.latency_cycles.to_bits(), cost.latency_cycles.to_bits());
+        assert_eq!(back.energy_pj.to_bits(), cost.energy_pj.to_bits());
+        assert_eq!(back.buffers, cost.buffers);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.insertions), (1, 1, 1));
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
@@ -617,12 +618,12 @@ mod tests {
     fn capacity_bound_evicts_oldest_first() {
         // One shard makes the FIFO order observable.
         let cache = ShardedFitnessCache::with_shards(2, 1);
-        let (k1, r) = report_for(2, 2);
-        let (k2, _) = report_for(4, 2);
-        let (k3, _) = report_for(8, 2);
-        cache.store(k1, &r);
-        cache.store(k2, &r);
-        cache.store(k3, &r);
+        let (k1, r) = cost_for(2, 2);
+        let (k2, _) = cost_for(4, 2);
+        let (k3, _) = cost_for(8, 2);
+        cache.store(k1, r);
+        cache.store(k2, r);
+        cache.store(k3, r);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 1);
         assert!(cache.lookup(k1).is_none(), "oldest entry must be gone");
@@ -635,13 +636,13 @@ mod tests {
         // One shard, capacity 2. Under LRU, touching k1 makes k2 the
         // eviction victim; under FIFO (tested above) k1 would go.
         let cache = ShardedFitnessCache::with_shards_and_policy(2, 1, EvictionPolicy::Lru);
-        let (k1, r) = report_for(2, 2);
-        let (k2, _) = report_for(4, 2);
-        let (k3, _) = report_for(8, 2);
-        cache.store(k1, &r);
-        cache.store(k2, &r);
+        let (k1, r) = cost_for(2, 2);
+        let (k2, _) = cost_for(4, 2);
+        let (k3, _) = cost_for(8, 2);
+        cache.store(k1, r);
+        cache.store(k2, r);
         assert!(cache.lookup(k1).is_some(), "refreshes k1's recency");
-        cache.store(k3, &r);
+        cache.store(k3, r);
         assert!(cache.lookup(k1).is_some(), "recently-used entry survives");
         assert!(cache.lookup(k2).is_none(), "least-recently-used entry evicted");
         assert!(cache.lookup(k3).is_some());
@@ -653,8 +654,8 @@ mod tests {
         // Hammering one key with hits must not grow the shard's lazy
         // recency queue without bound.
         let cache = ShardedFitnessCache::with_shards_and_policy(4, 1, EvictionPolicy::Lru);
-        let (key, report) = report_for(8, 4);
-        cache.store(key, &report);
+        let (key, cost) = cost_for(8, 4);
+        cache.store(key, cost);
         for _ in 0..10_000 {
             assert!(cache.lookup(key).is_some());
         }
@@ -678,9 +679,9 @@ mod tests {
     #[test]
     fn double_store_does_not_duplicate() {
         let cache = ShardedFitnessCache::with_shards(4, 1);
-        let (key, report) = report_for(8, 4);
-        cache.store(key, &report);
-        cache.store(key, &report);
+        let (key, cost) = cost_for(8, 4);
+        cache.store(key, cost);
+        cache.store(key, cost);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.stats().insertions, 1);
     }
@@ -699,9 +700,9 @@ mod tests {
         let shared = Arc::new(ShardedFitnessCache::new(100));
         let a = fitness_view(&shared, &tenant);
         let b = fitness_view(&shared, &tenant);
-        let (key, report) = report_for(8, 4);
+        let (key, cost) = cost_for(8, 4);
         assert!(a.lookup(key).is_none());
-        a.store(key, &report);
+        a.store(key, cost);
         assert!(a.lookup(key).is_some());
         assert!(b.lookup(key).is_some(), "views share the underlying memo");
         assert_eq!(a.counts(), ProbeCounts { hits: 1, misses: 1, stores: 1 });
@@ -716,9 +717,9 @@ mod tests {
         let tenant = Arc::new(LayerMeters::new(&registry, "t", CacheLayer::Fitness));
         let shared = Arc::new(ShardedFitnessCache::new(100));
         let view = fitness_view(&shared, &tenant);
-        let (key, report) = report_for(8, 4);
+        let (key, cost) = cost_for(8, 4);
         assert!(view.lookup(key).is_none());
-        view.store(key, &report);
+        view.store(key, cost);
         assert!(view.lookup(key).is_some(), "store must delegate to the shared cache");
         assert!(shared.lookup(key).is_some());
         assert_eq!(view.counts(), ProbeCounts { hits: 1, misses: 1, stores: 1 });
@@ -781,21 +782,21 @@ mod tests {
     #[test]
     fn entries_snapshot_round_trips_through_a_fresh_cache() {
         let cache = ShardedFitnessCache::new(100);
-        let pairs: Vec<_> = [(2, 2), (4, 2), (8, 4)].map(|(r, c)| report_for(r, c)).into();
-        for (key, report) in &pairs {
-            cache.store(*key, report);
+        let pairs: Vec<_> = [(2, 2), (4, 2), (8, 4)].map(|(r, c)| cost_for(r, c)).into();
+        for &(key, cost) in &pairs {
+            cache.store(key, cost);
         }
         let mut exported = cache.entries();
         assert_eq!(exported.len(), pairs.len());
-        // Re-import into a fresh cache: lookups serve identical reports.
+        // Re-import into a fresh cache: lookups serve identical costs.
         let fresh = ShardedFitnessCache::new(100);
         exported.sort_by_key(|(k, _)| *k);
-        for (key, report) in &exported {
-            fresh.store(*key, report);
+        for &(key, cost) in &exported {
+            fresh.store(key, cost);
         }
-        for (key, report) in &pairs {
-            let back = fresh.lookup(*key).expect("re-imported");
-            assert_eq!(back.latency_cycles.to_bits(), report.latency_cycles.to_bits());
+        for &(key, cost) in &pairs {
+            let back = fresh.lookup(key).expect("re-imported");
+            assert_eq!(back.latency_cycles.to_bits(), cost.latency_cycles.to_bits());
         }
     }
 

@@ -4,124 +4,80 @@
 //! The per-layer memo's keys are already stable across processes
 //! ([`digamma_costmodel::cachekey`], versioned via `KEY_VERSION`), so a
 //! restarted `digamma-netd` can keep its accumulated *cost-model* work —
-//! not just its jobs — by writing `(key, CostReport)` pairs to a text
+//! not just its jobs — by writing `(key, LayerCost)` pairs to a text
 //! file and reloading them at startup. Format (built on
 //! [`crate::textio`]):
 //!
 //! ```text
 //! [fitness-memo]
-//! version = 1            # this file format
+//! version = 2            # this file format
 //! key_version = 1        # digamma_costmodel::cachekey::KEY_VERSION
 //! count = 2
 //!
 //! [entry]
+//! crc = 16 hex digits    # FNV-1a of the entry without this line
 //! key = 16-hex stable cache key
 //! latency_cycles = 16-hex f64 bits        # every f64 is bit-exact
-//! ...                                      # see render_entry
+//! energy_pj = 16-hex f64 bits
+//! buf_l2_words = 4096
+//! buf_mid_words =        # empty for 2-level mappings
+//! buf_l1_words = 96
 //! ```
+//!
+//! Version 1 files carried the whole per-layer report (breakdown,
+//! traffic, derived hardware); they now load as a cold start.
 //!
 //! Robustness contract:
 //!
 //! * **bit-exact round-trip** — every `f64` travels as its IEEE-754 bit
-//!   pattern, every `u128` as decimal; a reloaded report compares equal
-//!   to the bit (property-tested in `tests/cachefile.rs`),
+//!   pattern; a reloaded cost compares equal to the bit,
 //! * **versioned** — a `version` or `key_version` mismatch discards the
 //!   whole file (stale keys must never alias a new cost model),
-//! * **corrupt-tolerant** — a malformed `[entry]` section is skipped
+//! * **sealed** — each `[entry]` carries the journal's record checksum
+//!   ([`crate::textio`]'s `seal`), so a flipped digit that still parses
+//!   is caught instead of warming the cache with a wrong cost,
+//! * **corrupt-tolerant** — an `[entry]` whose checksum is missing or
+//!   wrong, or whose fields are missing or malformed, is skipped
 //!   (counted, not fatal), so a partially damaged file still warms the
 //!   cache with its intact entries; an unreadable or unparsable file
 //!   degrades to a cold start, never a crash.
+//!
+//! `tests/corruption.rs` property-tests the contract against truncated
+//! and bit-flipped documents.
 
 use crate::textio::{
-    f64_from_text, f64_to_text, f64s_from_text, f64s_to_text, parse_sections, render_sections,
-    Section, TextError,
+    f64_from_text, f64_to_text, parse_sections, record_crc, render_sections, seal, Section,
+    TextError,
 };
-use digamma_costmodel::latency::{Bottleneck, LatencyBreakdown};
-use digamma_costmodel::{
-    analysis::LinkTraffic, cachekey::KEY_VERSION, BufferRequirement, CostReport, HwConfig,
-};
+use digamma_costmodel::{cachekey::KEY_VERSION, BufferRequirement, LayerCost};
 use digamma_obs::{FailAction, FailSet};
 use std::io::Write as _;
 use std::path::Path;
-use std::sync::Arc;
 
 /// Current spill-file format version.
-pub const CACHE_FILE_VERSION: u64 = 1;
+pub const CACHE_FILE_VERSION: u64 = 2;
 
 /// What a load reports back (for logs and tests).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheLoad {
     /// Entries parsed and usable.
     pub loaded: usize,
-    /// Malformed `[entry]` sections skipped.
+    /// Malformed or unsealed `[entry]` sections skipped.
     pub skipped: usize,
 }
 
-fn u64s_to_text(values: &[u64]) -> String {
-    let rendered: Vec<String> = values.iter().map(u64::to_string).collect();
-    rendered.join(",")
-}
-
-fn u64s_from_text(s: &str) -> Result<Vec<u64>, TextError> {
-    let s = s.trim();
-    if s.is_empty() {
-        return Ok(Vec::new());
-    }
-    s.split(',')
-        .map(|v| v.trim().parse().map_err(|_| TextError::new(format!("bad u64 list: {s:?}"))))
-        .collect()
-}
-
-fn u128s_to_text(values: &[u128]) -> String {
-    let rendered: Vec<String> = values.iter().map(u128::to_string).collect();
-    rendered.join(",")
-}
-
-fn u128s_from_text(s: &str) -> Result<Vec<u128>, TextError> {
-    let s = s.trim();
-    if s.is_empty() {
-        return Ok(Vec::new());
-    }
-    s.split(',')
-        .map(|v| v.trim().parse().map_err(|_| TextError::new(format!("bad u128 list: {s:?}"))))
-        .collect()
-}
-
-fn render_entry(key: u64, report: &CostReport) -> Section {
+fn render_entry(key: u64, cost: &LayerCost) -> Section {
     let mut s = Section::new("entry");
     s.push("key", format!("{key:016x}"));
-    s.push("latency_cycles", f64_to_text(report.latency_cycles));
-    s.push("compute_cycles", f64_to_text(report.latency.compute_cycles));
-    s.push("dram_cycles", f64_to_text(report.latency.dram_cycles));
-    s.push("noc_cycles", f64s_to_text(&report.latency.noc_cycles));
-    s.push("fill_cycles", f64_to_text(report.latency.fill_cycles));
-    s.push("total_cycles", f64_to_text(report.latency.total_cycles));
-    let bottleneck = match report.latency.bottleneck {
-        Bottleneck::Compute => "compute".to_owned(),
-        Bottleneck::Dram => "dram".to_owned(),
-        Bottleneck::Noc(i) => format!("noc:{i}"),
-    };
-    s.push("bottleneck", bottleneck);
-    s.push("energy_pj", f64_to_text(report.energy_pj));
-    s.push("area_um2", f64_to_text(report.area_um2));
-    s.push("pe_area_um2", f64_to_text(report.pe_area_um2));
-    s.push("hw_fanouts", u64s_to_text(&report.hw.fanouts));
-    s.push("hw_l2_words", report.hw.l2_words.to_string());
-    s.push("hw_mid_words", u64s_to_text(&report.hw.mid_words_per_unit));
-    s.push("hw_l1_words", report.hw.l1_words_per_pe.to_string());
-    s.push("buf_l2_words", report.buffers.l2_words.to_string());
-    s.push("buf_mid_words", u64s_to_text(&report.buffers.mid_words_per_unit));
-    s.push("buf_l1_words", report.buffers.l1_words_per_pe.to_string());
-    // Four u128 counters per level, flattened in level order.
-    let traffic: Vec<u128> = report
-        .traffic
-        .iter()
-        .flat_map(|t| [t.weight, t.input, t.output_write, t.output_read])
-        .collect();
-    s.push("traffic", u128s_to_text(&traffic));
-    s.push("utilization", f64_to_text(report.utilization));
-    s.push("macs", report.macs.to_string());
-    s
+    s.push("latency_cycles", f64_to_text(cost.latency_cycles));
+    s.push("energy_pj", f64_to_text(cost.energy_pj));
+    s.push("buf_l2_words", cost.buffers.l2_words.to_string());
+    s.push(
+        "buf_mid_words",
+        cost.buffers.mid_words_per_unit.map(|w| w.to_string()).unwrap_or_default(),
+    );
+    s.push("buf_l1_words", cost.buffers.l1_words_per_pe.to_string());
+    seal(s)
 }
 
 /// A required scalar: unlike `get_parsed_or`, a missing or unparsable
@@ -132,78 +88,49 @@ fn require_parsed<T: std::str::FromStr>(s: &Section, key: &str) -> Result<T, Tex
     s.require(key)?.parse().map_err(|_| TextError::new(format!("bad `{key}` in [entry]")))
 }
 
-fn parse_entry(s: &Section) -> Result<(u64, CostReport), TextError> {
+fn parse_entry(s: &Section) -> Result<(u64, LayerCost), TextError> {
+    if s.get("crc") != Some(record_crc(s).as_str()) {
+        return Err(TextError::new("[entry] crc is missing or does not match"));
+    }
     let key = u64::from_str_radix(s.require("key")?, 16)
         .map_err(|_| TextError::new("bad entry key (need 16 hex digits)"))?;
-    let bottleneck = match s.require("bottleneck")? {
-        "compute" => Bottleneck::Compute,
-        "dram" => Bottleneck::Dram,
-        other => match other.strip_prefix("noc:").and_then(|i| i.parse().ok()) {
-            Some(i) => Bottleneck::Noc(i),
-            None => return Err(TextError::new(format!("bad bottleneck {other:?}"))),
-        },
+    let mid_words_per_unit = match s.require("buf_mid_words")? {
+        "" => None,
+        _ => Some(require_parsed(s, "buf_mid_words")?),
     };
-    let latency = LatencyBreakdown {
-        compute_cycles: f64_from_text(s.require("compute_cycles")?)?,
-        dram_cycles: f64_from_text(s.require("dram_cycles")?)?,
-        noc_cycles: f64s_from_text(s.require("noc_cycles")?)?,
-        fill_cycles: f64_from_text(s.require("fill_cycles")?)?,
-        total_cycles: f64_from_text(s.require("total_cycles")?)?,
-        bottleneck,
-    };
-    let flat = u128s_from_text(s.require("traffic")?)?;
-    if !flat.len().is_multiple_of(4) {
-        return Err(TextError::new("traffic list must hold 4 counters per level"));
-    }
-    let traffic: Vec<LinkTraffic> = flat
-        .chunks_exact(4)
-        .map(|c| LinkTraffic { weight: c[0], input: c[1], output_write: c[2], output_read: c[3] })
-        .collect();
-    let report = CostReport {
+    let cost = LayerCost {
         latency_cycles: f64_from_text(s.require("latency_cycles")?)?,
-        latency,
         energy_pj: f64_from_text(s.require("energy_pj")?)?,
-        area_um2: f64_from_text(s.require("area_um2")?)?,
-        pe_area_um2: f64_from_text(s.require("pe_area_um2")?)?,
-        hw: HwConfig {
-            fanouts: u64s_from_text(s.require("hw_fanouts")?)?,
-            l2_words: require_parsed(s, "hw_l2_words")?,
-            mid_words_per_unit: u64s_from_text(s.require("hw_mid_words")?)?,
-            l1_words_per_pe: require_parsed(s, "hw_l1_words")?,
-        },
         buffers: BufferRequirement {
             l2_words: require_parsed(s, "buf_l2_words")?,
-            mid_words_per_unit: u64s_from_text(s.require("buf_mid_words")?)?,
+            mid_words_per_unit,
             l1_words_per_pe: require_parsed(s, "buf_l1_words")?,
         },
-        traffic,
-        utilization: f64_from_text(s.require("utilization")?)?,
-        macs: require_parsed(s, "macs")?,
     };
-    Ok((key, report))
+    Ok((key, cost))
 }
 
 /// Renders a full spill document for the given memo entries.
-pub fn render_cache_file(entries: &[(u64, Arc<CostReport>)]) -> String {
+pub fn render_cache_file(entries: &[(u64, LayerCost)]) -> String {
     let mut head = Section::new("fitness-memo");
     head.push("version", CACHE_FILE_VERSION.to_string());
     head.push("key_version", KEY_VERSION.to_string());
     head.push("count", entries.len().to_string());
     let mut sections = vec![head];
-    sections.extend(entries.iter().map(|(key, report)| render_entry(*key, report)));
+    sections.extend(entries.iter().map(|(key, cost)| render_entry(*key, cost)));
     render_sections(&sections)
 }
 
 /// Parses a spill document. A header mismatch (wrong format or key
-/// version) yields zero entries; malformed `[entry]` sections are
-/// skipped and counted.
+/// version) yields zero entries; malformed or unsealed `[entry]`
+/// sections are skipped and counted.
 ///
 /// # Errors
 ///
 /// Returns [`TextError`] only when the document is not even
 /// section-structured text; every finer-grained problem degrades to
 /// skipped entries.
-pub fn parse_cache_file(text: &str) -> Result<(Vec<(u64, CostReport)>, CacheLoad), TextError> {
+pub fn parse_cache_file(text: &str) -> Result<(Vec<(u64, LayerCost)>, CacheLoad), TextError> {
     let sections = parse_sections(text)?;
     let Some(head) = sections.first().filter(|s| s.name == "fitness-memo") else {
         return Err(TextError::new("not a fitness-memo file"));
@@ -270,8 +197,9 @@ pub(crate) fn persist_atomic(
     std::fs::rename(tmp, path)
 }
 
-/// Atomically writes the spill file (write + fsync + rename via
-/// [`persist_atomic`]; the `cache.spill` failpoint injects faults).
+/// Atomically writes the spill file (write + fsync + rename, so a
+/// failure leaves the previous file intact; the `cache.spill` failpoint
+/// injects faults).
 ///
 /// # Errors
 ///
@@ -279,7 +207,7 @@ pub(crate) fn persist_atomic(
 /// previous spill file, if any, survives every failure.
 pub fn write_cache_file(
     path: &Path,
-    entries: &[(u64, Arc<CostReport>)],
+    entries: &[(u64, LayerCost)],
     faults: &FailSet,
 ) -> std::io::Result<()> {
     let tmp = path.with_extension("cache.tmp");
@@ -288,7 +216,7 @@ pub fn write_cache_file(
 
 /// Best-effort load: a missing, unreadable, or corrupt file is a cold
 /// start (empty result), never an error.
-pub fn read_cache_file(path: &Path) -> (Vec<(u64, CostReport)>, CacheLoad) {
+pub fn read_cache_file(path: &Path) -> (Vec<(u64, LayerCost)>, CacheLoad) {
     let Ok(text) = std::fs::read_to_string(path) else {
         return (Vec::new(), CacheLoad::default());
     };
@@ -301,17 +229,15 @@ mod tests {
     use digamma_costmodel::{Evaluator, Mapping, Platform};
     use digamma_workload::{zoo, Layer};
 
-    fn sample_entries() -> Vec<(u64, Arc<CostReport>)> {
-        let eval = Evaluator::new(Platform::edge());
-        let mut entries = Vec::new();
+    /// Layers and mappings behind [`sample_entries`]: zoo layers on a
+    /// 2-level array plus one 3-level mapping (a middle buffer).
+    fn sample_layers() -> Vec<(Layer, Mapping)> {
+        let mut pairs = Vec::new();
         for model in [zoo::ncf(), zoo::dlrm()] {
             for u in model.unique_layers().iter().take(3) {
-                let m = Mapping::row_major_example(&u.layer, 4, 8);
-                let key = eval.cache_key(&u.layer, &m);
-                entries.push((key, Arc::new(eval.evaluate(&u.layer, &m).unwrap())));
+                pairs.push((u.layer.clone(), Mapping::row_major_example(&u.layer, 4, 8)));
             }
         }
-        // A three-level mapping exercises mid buffers and NoC vectors.
         let layer = Layer::conv("deep", 16, 8, 8, 8, 3, 3, 1);
         let m = Mapping::new(vec![
             digamma_costmodel::LevelSpec {
@@ -333,29 +259,38 @@ mod tests {
                 tile: digamma_workload::DimVec([2, 4, 2, 2, 3, 1]),
             },
         ]);
-        entries.push((eval.cache_key(&layer, &m), Arc::new(eval.evaluate(&layer, &m).unwrap())));
-        entries
+        pairs.push((layer, m));
+        pairs
     }
 
-    fn assert_report_bits(a: &CostReport, b: &CostReport) {
+    fn sample_entries() -> Vec<(u64, LayerCost)> {
+        let eval = Evaluator::new(Platform::edge());
+        sample_layers()
+            .iter()
+            .map(|(layer, m)| (eval.cache_key(layer, m), eval.layer_cost(layer, m).unwrap()))
+            .collect()
+    }
+
+    fn assert_cost_bits(a: &LayerCost, b: &LayerCost) {
         assert_eq!(a.latency_cycles.to_bits(), b.latency_cycles.to_bits());
-        assert_eq!(a.latency.compute_cycles.to_bits(), b.latency.compute_cycles.to_bits());
-        assert_eq!(a.latency.dram_cycles.to_bits(), b.latency.dram_cycles.to_bits());
-        assert_eq!(a.latency.noc_cycles.len(), b.latency.noc_cycles.len());
-        for (x, y) in a.latency.noc_cycles.iter().zip(&b.latency.noc_cycles) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        assert_eq!(a.latency.fill_cycles.to_bits(), b.latency.fill_cycles.to_bits());
-        assert_eq!(a.latency.total_cycles.to_bits(), b.latency.total_cycles.to_bits());
-        assert_eq!(a.latency.bottleneck, b.latency.bottleneck);
         assert_eq!(a.energy_pj.to_bits(), b.energy_pj.to_bits());
-        assert_eq!(a.area_um2.to_bits(), b.area_um2.to_bits());
-        assert_eq!(a.pe_area_um2.to_bits(), b.pe_area_um2.to_bits());
-        assert_eq!(a.hw, b.hw);
         assert_eq!(a.buffers, b.buffers);
-        assert_eq!(a.traffic, b.traffic);
-        assert_eq!(a.utilization.to_bits(), b.utilization.to_bits());
-        assert_eq!(a.macs, b.macs);
+    }
+
+    #[test]
+    fn sample_costs_match_the_full_reports() {
+        let eval = Evaluator::new(Platform::edge());
+        let pairs = sample_layers();
+        assert!(pairs.iter().any(|(_, m)| m.levels().len() == 3), "a middle buffer is covered");
+        for ((layer, m), (_, cost)) in pairs.iter().zip(sample_entries()) {
+            let report = eval.evaluate(layer, m).unwrap();
+            let full = LayerCost {
+                latency_cycles: report.latency_cycles,
+                energy_pj: report.energy_pj,
+                buffers: report.buffers,
+            };
+            assert_cost_bits(&cost, &full);
+        }
     }
 
     #[test]
@@ -366,9 +301,9 @@ mod tests {
         assert_eq!(load.loaded, entries.len());
         assert_eq!(load.skipped, 0);
         assert_eq!(back.len(), entries.len());
-        for ((ka, ra), (kb, rb)) in entries.iter().zip(&back) {
+        for ((ka, ca), (kb, cb)) in entries.iter().zip(&back) {
             assert_eq!(ka, kb);
-            assert_report_bits(ra, rb);
+            assert_cost_bits(ca, cb);
         }
     }
 
@@ -392,6 +327,63 @@ mod tests {
         assert!(parse_cache_file(&wrong_fmt).unwrap().0.is_empty());
     }
 
+    /// A version-1 file as the previous format rendered it. Its
+    /// `latency_cycles`, `energy_pj` and `buf_*` lines are exactly the
+    /// fields a version-2 entry reads, so only the version bump keeps it
+    /// out: it loads as a cold start, not as entries or damage.
+    #[test]
+    fn version_1_files_load_as_a_cold_start() {
+        let v1 = "\
+[fitness-memo]
+version = 1
+key_version = 1
+count = 1
+
+[entry]
+key = f6f3f4e87db58c3b
+latency_cycles = 40b0500000000000
+compute_cycles = 4080000000000000
+dram_cycles = 40a0500000000000
+noc_cycles = 4070500000000000
+fill_cycles = 40a0500000000000
+total_cycles = 40b0500000000000
+bottleneck = dram
+energy_pj = 414c26b000000000
+area_um2 = 40f220cccccccccd
+pe_area_um2 = 40c5e00000000000
+hw_fanouts = 4,8
+hw_l2_words = 16704
+hw_mid_words = 
+hw_l1_words = 560
+buf_l2_words = 16704
+buf_mid_words = 
+buf_l1_words = 560
+traffic = 64,256,16384,0,64,256,16384,0
+utilization = 3ff0000000000000
+macs = 16384
+";
+        let (back, load) = parse_cache_file(v1).unwrap();
+        assert!(back.is_empty());
+        assert_eq!(load, CacheLoad::default(), "a stale format is not counted as damage");
+    }
+
+    /// Flipping the low bit of one hex digit leaves a well-formed `f64`
+    /// (here latency 4176 would read back as 4176.000000000001); only the
+    /// entry checksum can tell.
+    #[test]
+    fn a_one_bit_flip_in_a_cost_is_skipped_not_loaded() {
+        let entries = sample_entries();
+        let text = render_cache_file(&entries[..1]);
+        let line = text.lines().find(|l| l.starts_with("latency_cycles = ")).unwrap();
+        let (prefix, last) = line.split_at(line.len() - 1);
+        let digit = u8::from_str_radix(last, 16).unwrap() ^ 1;
+        let flipped = text.replacen(line, &format!("{prefix}{digit:x}"), 1);
+        assert_ne!(flipped, text);
+        let (back, load) = parse_cache_file(&flipped).unwrap();
+        assert!(back.is_empty(), "the flipped entry must not load: {back:?}");
+        assert_eq!(load, CacheLoad { loaded: 0, skipped: 1 });
+    }
+
     #[test]
     fn corrupt_entries_are_skipped_not_fatal() {
         let entries = sample_entries();
@@ -407,27 +399,33 @@ mod tests {
     fn missing_fields_skip_the_entry_never_default() {
         // A lost line must skip the whole entry — defaulting (e.g. a
         // buffer size to 0 or MAX) would warm-start the cache with a
-        // report that silently poisons every search touching that key.
+        // cost that silently poisons every search touching that key.
+        // The checksum convicts a dropped line; a dropped line under a
+        // recomputed checksum must fail the field checks instead.
         let entries = sample_entries();
         let rendered = render_cache_file(&entries);
-        for victim in ["buf_l2_words", "macs", "hw_fanouts", "traffic", "noc_cycles"] {
-            // Drop only the FIRST occurrence of the victim line.
-            let mut dropped = false;
-            let damaged: String = rendered
-                .lines()
-                .filter(|line| {
-                    if !dropped && line.starts_with(&format!("{victim} = ")) {
-                        dropped = true;
-                        false
-                    } else {
-                        true
-                    }
-                })
-                .collect::<Vec<_>>()
-                .join("\n");
-            let (back, load) = parse_cache_file(&damaged).unwrap();
-            assert_eq!(load.skipped, 1, "missing {victim} must skip its entry");
-            assert_eq!(back.len(), entries.len() - 1, "missing {victim}");
+        for victim in [
+            "crc",
+            "key",
+            "latency_cycles",
+            "energy_pj",
+            "buf_l2_words",
+            "buf_mid_words",
+            "buf_l1_words",
+        ] {
+            // Resealing would restore a dropped crc: never reseal that one.
+            for reseal in [false, victim != "crc"] {
+                let mut sections = parse_sections(&rendered).unwrap();
+                let entry = &mut sections[1];
+                entry.entries.retain(|(k, _)| k != victim);
+                if reseal {
+                    entry.entries.retain(|(k, _)| k != "crc");
+                    *entry = seal(entry.clone());
+                }
+                let (back, load) = parse_cache_file(&render_sections(&sections)).unwrap();
+                assert_eq!(load.skipped, 1, "missing {victim} (resealed: {reseal})");
+                assert_eq!(back.len(), entries.len() - 1, "missing {victim}");
+            }
         }
     }
 

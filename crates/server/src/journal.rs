@@ -54,8 +54,8 @@
 use crate::job::JobSpec;
 use crate::manifest::{parse_job_section, render_job};
 use crate::registry::{JobId, JobStatus};
-use crate::textio::{self, Section};
-use digamma_obs::{fnv1a64, FailAction, FailSet, FNV1A64_OFFSET};
+use crate::textio::{self, record_crc, seal, Section};
+use digamma_obs::{FailAction, FailSet};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -67,31 +67,6 @@ use std::sync::Arc;
 /// every job's tenant, and version-2 records replay without
 /// verification.
 pub const JOURNAL_VERSION: u64 = 3;
-
-/// The checksum of a record: FNV-1a 64 over the section rendered
-/// *without* its `crc` entry, as 16 hex digits. Entry order matters and
-/// is preserved by both [`Section::render`] and the parser, so append
-/// and replay agree on the hashed bytes.
-fn record_crc(section: &Section) -> String {
-    let mut clean = Section::new(section.name.clone());
-    for (key, value) in &section.entries {
-        if key != "crc" {
-            clean.entries.push((key.clone(), value.clone()));
-        }
-    }
-    format!("{:016x}", fnv1a64(FNV1A64_OFFSET, clean.render().as_bytes()))
-}
-
-/// Prepends the `crc` entry to a freshly built record. The checksum
-/// goes *first* so a torn tail (which loses the record's end, not its
-/// start) always retains the declared checksum that will convict it.
-fn seal(section: Section) -> Section {
-    let crc = record_crc(&section);
-    let mut sealed = Section::new(section.name.clone());
-    sealed.push("crc", crc);
-    sealed.entries.extend(section.entries);
-    sealed
-}
 
 /// An append-only job journal at a fixed path.
 #[derive(Debug, Clone)]

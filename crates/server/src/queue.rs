@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 pub struct ServerConfig {
     /// Worker threads a [`crate::JobRegistry`] drains its queues with.
     pub workers: usize,
-    /// Total fitness-cache capacity in memoized per-layer reports;
+    /// Total fitness-cache capacity in memoized per-layer costs;
     /// `0` runs the server cache-less.
     pub cache_capacity: usize,
     /// Whole-genome memo capacity in memoized design evaluations; `0`
@@ -357,8 +357,8 @@ impl SearchServer {
     fn warm_start(&self) {
         let (Some(path), Some(cache)) = (&self.cache_file, &self.cache) else { return };
         let (entries, _load) = cachefile::read_cache_file(path);
-        for (key, report) in entries {
-            digamma::EvalCache::store(cache.as_ref(), key, &Arc::new(report));
+        for (key, cost) in entries {
+            digamma::EvalCache::store(cache.as_ref(), key, cost);
         }
         // The warm-start insertions are already on disk; don't let them
         // alone trigger a rewrite.

@@ -7,6 +7,7 @@
 //! via IEEE-754 bit patterns. Repeated keys are allowed (that is how a
 //! population of genomes serializes) and `#` starts a comment.
 
+use digamma_obs::{fnv1a64, FNV1A64_OFFSET};
 use std::fmt;
 
 /// A parse or format violation in a server text document.
@@ -148,6 +149,33 @@ pub fn parse_sections(text: &str) -> Result<Vec<Section>, TextError> {
         section.entries.push((key.trim().to_owned(), value.trim().to_owned()));
     }
     Ok(sections)
+}
+
+/// The checksum of a record: FNV-1a 64 over the section rendered
+/// *without* its `crc` entry, as 16 hex digits. Entry order matters and
+/// is preserved by both [`Section::render`] and the parser, so writer
+/// and reader agree on the hashed bytes.
+pub(crate) fn record_crc(section: &Section) -> String {
+    let mut clean = Section::new(section.name.clone());
+    for (key, value) in &section.entries {
+        if key != "crc" {
+            clean.entries.push((key.clone(), value.clone()));
+        }
+    }
+    format!("{:016x}", fnv1a64(FNV1A64_OFFSET, clean.render().as_bytes()))
+}
+
+/// Prepends the `crc` entry ([`record_crc`]) to a freshly built record —
+/// the sealing shared by journal records and spill-file entries. The
+/// checksum goes *first* so a torn tail (which loses the record's end,
+/// not its start) always retains the declared checksum that will
+/// convict it.
+pub(crate) fn seal(section: Section) -> Section {
+    let crc = record_crc(&section);
+    let mut sealed = Section::new(section.name.clone());
+    sealed.push("crc", crc);
+    sealed.entries.extend(section.entries);
+    sealed
 }
 
 /// Renders an `f64` exactly, as its 16-hex-digit IEEE-754 bit pattern.

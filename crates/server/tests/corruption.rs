@@ -1,14 +1,16 @@
-//! The storage corruption suite: journals and snapshots fed truncated,
-//! bit-flipped, and duplicated input must never panic, never replay
-//! damaged records as good ones, and must count the damage they skip.
+//! The storage corruption suite: journals, snapshots and fitness-memo
+//! spill files fed truncated, bit-flipped, and duplicated input must
+//! never panic, never replay damaged records as good ones, and must
+//! count the damage they skip.
 //!
 //! The journal under test carries the full record zoo — a keyed batch
 //! (`[submitted]` × 2 + `[idempotency]`), a `[finished]` terminal
 //! record, and a second batch — so every parser path faces the damage.
 
 use digamma::{CoOptProblem, Objective};
-use digamma_costmodel::Platform;
+use digamma_costmodel::{LayerCost, Platform};
 use digamma_encoding::Genome;
+use digamma_server::cachefile::{parse_cache_file, render_cache_file};
 use digamma_server::{JobAlgorithm, JobSpec, JobStatus, Journal, Snapshot};
 use digamma_workload::zoo;
 use proptest::prelude::*;
@@ -54,8 +56,66 @@ fn reference_snapshot() -> String {
     .render()
 }
 
+/// A reference spill: the per-layer costs of two random ncf genomes, one
+/// on a 2-level array and one on a 3-level array (middle buffers).
+fn reference_spill() -> (Vec<(u64, LayerCost)>, String) {
+    let problem = CoOptProblem::new(zoo::ncf(), Platform::edge(), Objective::Latency);
+    let eval = problem.evaluator();
+    let mut rng = SmallRng::seed_from_u64(17);
+    let mut entries = Vec::new();
+    for levels in [2, 3] {
+        let genome = Genome::random(&mut rng, problem.unique_layers(), problem.platform(), levels);
+        for (u, m) in problem.unique_layers().iter().zip(genome.decode(problem.unique_layers())) {
+            entries.push((eval.cache_key(&u.layer, &m), eval.layer_cost(&u.layer, &m).unwrap()));
+        }
+    }
+    let text = render_cache_file(&entries);
+    (entries, text)
+}
+
+/// The spill-file contract on a damaged document: parsing returns
+/// rather than panics, no more entries are accounted for than were
+/// written, and every entry that loads is bit-equal to a written one
+/// under the same key.
+fn check_spill_load(written: &[(u64, LayerCost)], damaged: &str) {
+    let Ok((loaded, load)) = parse_cache_file(damaged) else { return };
+    prop_assert_eq!(loaded.len(), load.loaded);
+    prop_assert!(load.loaded + load.skipped <= written.len(), "{:?}", load);
+    for (key, cost) in &loaded {
+        let Some((_, original)) = written.iter().find(|(k, _)| k == key) else {
+            panic!("loaded an invented key {key:016x}");
+        };
+        prop_assert_eq!(cost.latency_cycles.to_bits(), original.latency_cycles.to_bits());
+        prop_assert_eq!(cost.energy_pj.to_bits(), original.energy_pj.to_bits());
+        prop_assert_eq!(cost.buffers, original.buffers);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A spill file truncated at an arbitrary byte: every surviving
+    /// entry is intact, and a cut inside an entry (a shortened number
+    /// still parses) never loads a wrong cost.
+    #[test]
+    fn truncated_spill_files_load_only_written_entries(cut_seed in 0u64..4_096) {
+        let (written, text) = reference_spill();
+        let cut = (cut_seed as usize) % (text.len() + 1);
+        check_spill_load(&written, &text[..cut]);
+    }
+
+    /// A single low-bit flip anywhere in a spill file: never a panic,
+    /// never a loaded cost that differs from what was written.
+    #[test]
+    fn bit_flipped_spill_files_load_only_written_entries(flip_seed in 0u64..4_096) {
+        let (written, text) = reference_spill();
+        let mut bytes = text.into_bytes();
+        let mut rng = SmallRng::seed_from_u64(flip_seed);
+        let at = rng.gen_range(0..bytes.len());
+        bytes[at] ^= 1u8 << rng.gen_range(0..4);
+        let Ok(text) = String::from_utf8(bytes) else { return };
+        check_spill_load(&written, &text);
+    }
 
     /// A journal truncated at an arbitrary byte replays without panic
     /// to a *prefix-consistent* state: records strictly before the cut
